@@ -25,10 +25,9 @@ tasks in index order (the contiguous-chunk behavior callers relied on);
 ``schedule="steal"`` feeds workers from the shared pool queue
 largest-estimated-cost-first (``cost_key``), so a straggler task starts
 first instead of landing on an already-loaded worker — the map-reduce
-answer to skewed page batches and lopsided reasoner components.  Either
-way :func:`_collect` reassembles results in task-index order, so a
-correct caller sees byte-identical output from every schedule, backend,
-and worker count.
+answer to skewed page batches.  Either way :func:`_collect` reassembles
+results in task-index order, so a correct caller sees byte-identical
+output from every schedule, backend, and worker count.
 
 Worker telemetry is never lost: ``repro.obs`` state is process- and
 thread-local by design, so after every task the worker captures its own

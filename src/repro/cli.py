@@ -97,20 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(auto = process pool when workers > 1)",
     )
     build.add_argument(
-        "--reasoner-workers",
-        type=int,
-        default=0,
-        help="fan consistency-reasoning MaxSat components out over this "
-        "many workers (0 or 1 = in-process)",
-    )
-    build.add_argument(
-        "--reasoner-backend",
-        choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-        help="execution backend for --reasoner-workers "
-        "(auto = process pool when reasoner workers > 1)",
-    )
-    build.add_argument(
         "--schedule",
         choices=SCHEDULE_NAMES,
         default="static",
@@ -173,11 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--backend", choices=("auto",) + BACKEND_NAMES, default="auto",
-    )
-    ingest.add_argument("--reasoner-workers", type=int, default=0)
-    ingest.add_argument(
-        "--reasoner-backend", choices=("auto",) + BACKEND_NAMES,
-        default="auto",
     )
     ingest.add_argument(
         "--schedule", choices=SCHEDULE_NAMES, default="static",
@@ -307,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     determinism.add_argument(
         "--cross-mode", action="store_true",
         help="also verify serial, sharded, threaded, and process-parallel "
-        "builds (extraction and reasoner workers) agree byte for byte",
+        "builds agree byte for byte",
     )
     determinism.add_argument(
         "--fast", action="store_true",
@@ -337,9 +318,6 @@ def _command_build(args, out) -> int:
     if args.workers < 0:
         print("error: --workers must be non-negative", file=out)
         return 2
-    if args.reasoner_workers < 0:
-        print("error: --reasoner-workers must be non-negative", file=out)
-        return 2
     print(f"Generating world (seed={args.seed}, people={args.people}) ...", file=out)
     world = generate_world(WorldConfig(seed=args.seed, n_people=args.people))
     wiki = build_wiki(world)
@@ -357,8 +335,6 @@ def _command_build(args, out) -> int:
         mapreduce_shards=args.shards,
         workers=args.workers,
         backend=args.backend,
-        reasoner_workers=args.reasoner_workers,
-        reasoner_backend=args.reasoner_backend,
         schedule=args.schedule,
         corpus_transport=args.corpus_transport,
         corpus_file=args.corpus_file,
@@ -411,8 +387,8 @@ def _command_build(args, out) -> int:
 def _command_ingest(args, out) -> int:
     from .pipeline import IncrementalBuilder
 
-    if args.workers < 0 or args.reasoner_workers < 0:
-        print("error: worker counts must be non-negative", file=out)
+    if args.workers < 0:
+        print("error: --workers must be non-negative", file=out)
         return 2
     if args.start < 0:
         print("error: --start must be non-negative", file=out)
@@ -430,8 +406,6 @@ def _command_ingest(args, out) -> int:
     config = BuildConfig(
         workers=args.workers,
         backend=args.backend,
-        reasoner_workers=args.reasoner_workers,
-        reasoner_backend=args.reasoner_backend,
         schedule=args.schedule,
     )
     print(
@@ -460,11 +434,7 @@ def _command_ingest(args, out) -> int:
         f"cached_pages={report.cached_pages}",
         file=out,
     )
-    print(
-        f"reasoning: components={report.components} "
-        f"cached_components={report.cached_components}",
-        file=out,
-    )
+    print(f"reasoning: components={report.components}", file=out)
     print(
         f"delta: segment={report.segment or '-'} added={report.added} "
         f"tombstones={report.tombstones} retracted={report.retracted} "

@@ -13,9 +13,7 @@ leak can be bisected straight to a subsystem.
 
 The cross-mode check (:func:`check_cross_mode`) extends the same contract
 across *execution strategies*: serial, sharded map-reduce, thread-pool,
-and process-pool builds of the same world — for the extraction stage and
-for the component-decomposed consistency reasoner alike — must also agree
-byte for byte.
+and process-pool builds of the same world must also agree byte for byte.
 Each mode still runs in a fresh subprocess under its own
 ``PYTHONHASHSEED``, so a pass certifies both properties at once.
 """
@@ -137,8 +135,6 @@ def _build_once(
     timeout: float,
     workers: int = 0,
     backend: Optional[str] = None,
-    reasoner_workers: int = 0,
-    reasoner_backend: Optional[str] = None,
     schedule: Optional[str] = None,
     segments_dir: Optional[str] = None,
     corpus_transport: Optional[str] = None,
@@ -158,10 +154,6 @@ def _build_once(
         command += ["--workers", str(workers)]
     if backend is not None:
         command += ["--backend", backend]
-    if reasoner_workers:
-        command += ["--reasoner-workers", str(reasoner_workers)]
-    if reasoner_backend is not None:
-        command += ["--reasoner-backend", reasoner_backend]
     if schedule is not None:
         command += ["--schedule", schedule]
     if corpus_transport is not None:
@@ -243,38 +235,22 @@ class BuildMode:
     shards: Optional[int] = None
     workers: int = 0
     backend: Optional[str] = None
-    reasoner_workers: int = 0
-    reasoner_backend: Optional[str] = None
     schedule: Optional[str] = None
     corpus_transport: Optional[str] = None
 
 
 #: The default mode matrix: every execution strategy the pipeline offers,
-#: including the component-decomposed parallel consistency reasoner, the
-#: work-stealing dispatch schedule (which the steal modes exercise for
-#: extraction and reasoning at once, over one shared worker pool), and the
-#: segment-backed zero-copy corpus transport — workers reading pages from
-#: a shared corpus file must produce the same bytes as workers holding the
-#: whole Wiki in memory, under static and stealing dispatch alike.
+#: including the work-stealing dispatch schedule and the segment-backed
+#: zero-copy corpus transport — workers reading pages from a shared corpus
+#: file must produce the same bytes as workers holding the whole Wiki in
+#: memory, under static and stealing dispatch alike.
 CROSS_MODES: tuple[BuildMode, ...] = (
     BuildMode("serial"),
     BuildMode("shards4", shards=4),
     BuildMode("thread2", workers=2, backend="thread"),
     BuildMode("process2", workers=2, backend="process"),
-    BuildMode("reasoner-thread2", reasoner_workers=2, reasoner_backend="thread"),
-    BuildMode("reasoner-process2", reasoner_workers=2, reasoner_backend="process"),
-    BuildMode(
-        "steal-thread2",
-        workers=2, backend="thread",
-        reasoner_workers=2, reasoner_backend="thread",
-        schedule="steal",
-    ),
-    BuildMode(
-        "steal-process2",
-        workers=2, backend="process",
-        reasoner_workers=2, reasoner_backend="process",
-        schedule="steal",
-    ),
+    BuildMode("steal-thread2", workers=2, backend="thread", schedule="steal"),
+    BuildMode("steal-process2", workers=2, backend="process", schedule="steal"),
     BuildMode(
         "corpus-thread2",
         workers=2, backend="thread", corpus_transport="file",
@@ -337,8 +313,6 @@ def check_cross_mode(
             lines = _build_once(
                 index, out_path, seed, people, mode.shards, timeout,
                 workers=mode.workers, backend=mode.backend,
-                reasoner_workers=mode.reasoner_workers,
-                reasoner_backend=mode.reasoner_backend,
                 schedule=mode.schedule,
                 corpus_transport=mode.corpus_transport,
             )
@@ -388,12 +362,6 @@ def check_cross_mode_fast(
             mapreduce_shards=mode.shards,
             workers=mode.workers,
             backend=mode.backend if mode.backend is not None else "auto",
-            reasoner_workers=mode.reasoner_workers,
-            reasoner_backend=(
-                mode.reasoner_backend
-                if mode.reasoner_backend is not None
-                else "auto"
-            ),
             schedule=mode.schedule if mode.schedule is not None else "static",
             corpus_transport=(
                 mode.corpus_transport
@@ -489,8 +457,6 @@ def check_segment_determinism(
             lines = _build_once(
                 index, out_path, seed, people, mode.shards, timeout,
                 workers=mode.workers, backend=mode.backend,
-                reasoner_workers=mode.reasoner_workers,
-                reasoner_backend=mode.reasoner_backend,
                 schedule=mode.schedule, segments_dir=segments_dir,
             )
             if reference_dir is None:
@@ -588,10 +554,6 @@ def _ingest_once(
         command += ["--workers", str(mode.workers)]
     if mode.backend is not None:
         command += ["--backend", mode.backend]
-    if mode.reasoner_workers:
-        command += ["--reasoner-workers", str(mode.reasoner_workers)]
-    if mode.reasoner_backend is not None:
-        command += ["--reasoner-backend", mode.reasoner_backend]
     if mode.schedule is not None:
         command += ["--schedule", mode.schedule]
     env = dict(os.environ)

@@ -15,25 +15,19 @@ ablation:
 
 Solving is component-decomposed (:mod:`repro.reasoning.decompose`): the
 clause graph shatters along the constraint locality into many small
-independent components, which ``workers``/``backend`` fan out over the
-execution backends — the cleaned KB is byte-identical for every worker
-count because component seeds and the merge order derive from component
-content only.  The reasoner resolves its backend once at construction, so
-repeated ``clean()`` calls reuse one persistent worker pool (release it
-with :meth:`ConsistencyReasoner.close` or the context manager), and
-``schedule="steal"`` dispatches the heaviest component batches first.
+independent components, each solved exactly by branch and bound (WalkSAT
+only above a fixed size), so the cleaned KB is a pure function of the
+candidates.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Union
 
-from ..bigdata.backends import ExecutionBackend, get_backend
 from ..kb import Entity, Relation, Taxonomy, Triple, TripleStore
 from ..obs import core as _obs
-from ..reasoning.decompose import ComponentCache, decompose, solve_decomposed
+from ..reasoning.decompose import decompose, solve_decomposed
 from ..reasoning.maxsat import WeightedMaxSat
 
 #: A fact variable: the (s, p, o) key.
@@ -55,10 +49,6 @@ class ConsistencyReport:
     components: int = 0
     largest_component: int = 0
     trivial_vars: int = 0
-    #: Components replayed from a ComponentCache instead of re-solved
-    #: (the incremental build's component-scoped re-reasoning; 0 when no
-    #: cache was supplied).
-    cached_components: int = 0
 
 
 class ConsistencyReasoner:
@@ -71,41 +61,12 @@ class ConsistencyReasoner:
         use_types: bool = True,
         use_disjointness: bool = True,
         min_confidence_weight: float = 0.05,
-        workers: int = 0,
-        backend: Union[str, ExecutionBackend, None] = "auto",
-        schedule: str = "static",
-        component_cache: "ComponentCache | None" = None,
     ) -> None:
         self.taxonomy = taxonomy
         self.use_functionality = use_functionality
         self.use_types = use_types
         self.use_disjointness = use_disjointness
         self.min_confidence_weight = min_confidence_weight
-        self.workers = workers
-        self.schedule = schedule
-        # Optional content-addressed solve cache: identical components
-        # replay their stored outcome instead of searching again, which is
-        # what lets an incremental build re-solve only the components its
-        # delta touched.  Results are byte-identical either way.
-        self.component_cache = component_cache
-        # Resolve the backend once: every clean() call of this reasoner
-        # reuses the same (lazily created, persistent) worker pool instead
-        # of spinning one up per call.  A caller-supplied instance stays
-        # caller-owned; a string spec is owned — and closed — by us.
-        self.backend = get_backend(backend, workers)
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-
-    def close(self) -> None:
-        """Release the reasoner's worker pool (if it owns one)."""
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "ConsistencyReasoner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     def ground(
         self, candidates: TripleStore
@@ -114,9 +75,9 @@ class ConsistencyReasoner:
 
         Returns the instance, the canonical key -> triple map, and a
         report carrying the per-family clause counts.  Grounding happens
-        in canonical (s, p, o) order so clause indexes — and therefore the
-        WalkSAT trajectory — are the same no matter how the candidate
-        store was assembled.
+        in canonical (s, p, o) order so clause indexes — and therefore every
+        solver decision — are the same no matter how the candidate store
+        was assembled.
         """
         report = ConsistencyReport(candidates=len(candidates))
         problem = WeightedMaxSat()
@@ -154,22 +115,9 @@ class ConsistencyReasoner:
                 report.components = len(decomposition.components)
                 report.largest_component = decomposition.largest_component
                 report.trivial_vars = len(decomposition.trivial)
-                hits_before = (
-                    self.component_cache.hits if self.component_cache else 0
-                )
                 result = solve_decomposed(
-                    problem,
-                    seed=seed,
-                    decomposition=decomposition,
-                    backend=self.backend,
-                    workers=self.workers,
-                    schedule=self.schedule,
-                    cache=self.component_cache,
+                    problem, seed=seed, decomposition=decomposition
                 )
-                if self.component_cache is not None:
-                    report.cached_components = (
-                        self.component_cache.hits - hits_before
-                    )
                 solving.add("components", report.components)
                 solving.add("largest_component", report.largest_component)
                 solving.add("trivial_vars", report.trivial_vars)

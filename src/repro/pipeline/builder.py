@@ -12,18 +12,19 @@ fan out across an execution backend (``BuildConfig.workers`` /
 the name resolver and gazetteer once in their initializer, extract page
 batches, and ship their telemetry back to the parent, and because batch
 results are concatenated in input order the resulting KB is byte-identical
-to a serial build.  Consistency reasoning parallelizes the same way
-(``BuildConfig.reasoner_workers`` / ``reasoner_backend``): the MaxSat
-instance decomposes into connected components that fan out over the same
-backends, with content-derived component seeds keeping the cleaned KB
-byte-identical at every worker count.
+to a serial build.  Consistency reasoning runs in the parent process: the
+MaxSat instance decomposes into small connected components that are each
+solved exactly (see :mod:`repro.reasoning.decompose`), which is cheap
+enough that it needs no worker pool of its own.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,8 +67,6 @@ class BuildConfig:
     mapreduce_shards: Optional[int] = None  # None = direct extraction
     workers: int = 0                        # <= 1 = in-process execution
     backend: str = "auto"                   # serial | thread | process | auto
-    reasoner_workers: int = 0               # <= 1 = in-process MaxSat solving
-    reasoner_backend: str = "auto"          # backend for consistency reasoning
     schedule: str = "static"                # static | steal (worker dispatch)
     # Zero-copy corpus transport (execution policy — never byte-affecting):
     # "auto" ships process workers a corpus-file path instead of a pickled
@@ -262,18 +261,11 @@ class KnowledgeBaseBuilder:
         wiki: Wiki,
         aliases: Optional[dict[Entity, list[str]]] = None,
         config: Optional[BuildConfig] = None,
-        component_cache=None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.wiki = wiki
         self.aliases = aliases
         self.config = config if config is not None else BuildConfig()
-        # Optional repro.reasoning.decompose.ComponentCache: consistency
-        # components whose content is unchanged replay their stored MaxSat
-        # outcome instead of re-solving (the incremental build's
-        # component-scoped re-reasoning).  Stays in the parent process —
-        # never shipped to extraction workers.
-        self.component_cache = component_cache
         # Measured-cost model for steal scheduling: per-batch wall seconds
         # recorded by the backends replace the static sentence-count proxy
         # on later map calls (and feed adaptive batch splitting).  Shared
@@ -308,37 +300,27 @@ class KnowledgeBaseBuilder:
             len(p.document.sentences) for p in self.wiki.pages.values()
         )
 
-        # Resolve the execution backends once per build: a pooled backend
-        # keeps its workers alive across the extraction stage, map-reduce
-        # map phases, and consistency reasoning (one pool spinup per
-        # build, not one per stage), shared between the two stages when
-        # their specs coincide, and closed when the build finishes.
+        # Resolve the execution backend once per build: a pooled backend
+        # keeps its workers alive across the extraction stage and the
+        # map-reduce map phases (one pool spinup per build, not one per
+        # stage), and is closed when the build finishes.
         backend = get_backend(self.config.backend, self.config.workers)
-        reasoner_backend = get_backend(
-            self.config.reasoner_backend, self.config.reasoner_workers
-        )
-        if (reasoner_backend.name, reasoner_backend.workers) == (
-            backend.name,
-            backend.workers,
-        ):
-            reasoner_backend = backend
         report.backend = backend.name
         report.workers = backend.workers
         report.schedule = self.config.schedule
-        corpus_tmp = self._prepare_corpus(backend, skip=candidates is not None)
-        try:
-            return self._build_with(
-                backend, reasoner_backend, report, candidates
+        with _cyclic_gc_paused():
+            corpus_tmp = self._prepare_corpus(
+                backend, skip=candidates is not None
             )
-        finally:
-            backend.close()
-            if reasoner_backend is not backend:
-                reasoner_backend.close()
-            self._corpus_path = None
-            if corpus_tmp is not None:
-                import shutil
+            try:
+                return self._build_with(backend, report, candidates)
+            finally:
+                backend.close()
+                self._corpus_path = None
+                if corpus_tmp is not None:
+                    import shutil
 
-                shutil.rmtree(corpus_tmp, ignore_errors=True)
+                    shutil.rmtree(corpus_tmp, ignore_errors=True)
 
     def _prepare_corpus(
         self, backend: ExecutionBackend, skip: bool = False
@@ -404,7 +386,6 @@ class KnowledgeBaseBuilder:
     def _build_with(
         self,
         backend: ExecutionBackend,
-        reasoner_backend: ExecutionBackend,
         report: BuildReport,
         candidates: Optional[list[Candidate]] = None,
     ) -> tuple[TripleStore, BuildReport]:
@@ -472,14 +453,9 @@ class KnowledgeBaseBuilder:
             #    taxonomy.
             if self.config.use_consistency:
                 with _obs.span("pipeline.consistency") as tracing:
-                    taxonomy = Taxonomy(_taxonomy_view(kb, self.wiki))
-                    reasoner = ConsistencyReasoner(
-                        taxonomy,
-                        workers=self.config.reasoner_workers,
-                        backend=reasoner_backend,
-                        schedule=self.config.schedule,
-                        component_cache=self.component_cache,
-                    )
+                    with _obs.span("consistency.taxonomy"):
+                        taxonomy = Taxonomy(_taxonomy_view(kb, self.wiki))
+                    reasoner = ConsistencyReasoner(taxonomy)
                     fact_store, report.consistency = reasoner.clean(fact_store)
                     tracing.add("accepted", report.consistency.accepted)
                     tracing.add("rejected", report.consistency.rejected)
@@ -586,6 +562,30 @@ class KnowledgeBaseBuilder:
             initargs=initargs,
         )
         return candidates, stats
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Hold off Python's cyclic garbage collector for one build.
+
+    A build allocates hundreds of thousands of short-lived objects and
+    frees them by reference counting.  With the collector on, its full
+    passes over the build's live intermediate state (40-110 ms each at
+    120 people on a 2-core host) fire at allocation-count thresholds
+    that land in roughly one build in three, so equal builds differed in
+    wall time by up to a third.  The collector resumes when the build
+    returns, and collects any cycles it left then; a caller that had
+    already disabled it keeps it disabled.  Worker processes forked
+    during the build inherit the pause and exit with the build's pool.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _taxonomy_view(kb: TripleStore, wiki: Wiki) -> TripleStore:

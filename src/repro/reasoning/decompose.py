@@ -1,41 +1,49 @@
-"""Component decomposition for weighted MaxSat (parallel consistency).
+"""Component decomposition for weighted MaxSat (exact-first consistency).
 
 The consistency constraints the reasoner grounds are *local*: functionality
 couples facts sharing a ``(subject, relation)``, disjointness couples facts
 sharing a ``(subject, object)``, and type clauses are unit.  The resulting
 variable-clause graph therefore shatters into many small connected
 components, and the global optimum is exactly the union of per-component
-optima — so the components can be solved independently, in parallel, with
-no loss of quality.
+optima — so the components can be solved independently with no loss of
+quality.
 
 This module finds the components (union-find over variables co-occurring
 in a clause) and solves them:
 
 * variables touched only by their own soft unit clause(s) of one polarity
   are decided **closed-form** (assign the satisfying polarity; no search);
-* every remaining component becomes its own :class:`~.maxsat.WeightedMaxSat`
-  sub-instance with a seed derived via :func:`repro.determinism.stable_hash`
-  of the component's canonical key — *not* of its position in any worker's
-  batch — and a flip budget scaled to the component size;
-* component batches fan out over a :mod:`repro.bigdata.backends` executor
-  (serial, thread, or process), and the per-component ``(hard, soft)``
-  costs and assignments merge in sorted-canonical-key order.
+* a component of at most :data:`EXACT_MAX_VARIABLES` variables — in
+  practice every one the pipeline grounds — is solved to optimality by
+  branch and bound (:meth:`~.maxsat.WeightedMaxSat.solve_exact`), whose
+  tie-break among equal-cost optima is fixed and documented;
+* a larger component falls back to WalkSAT with a seed derived via
+  :func:`repro.determinism.stable_hash` of the component's canonical key
+  and a flip budget scaled to the component size;
+* per-component ``(hard, soft)`` costs and assignments merge in
+  sorted-canonical-key order.
 
-Because the seed and budget of a component depend only on its content, and
-the merge order depends only on the canonical keys, the result is
-byte-identical no matter which backend ran the components or how many
-workers it used.
+Every step depends only on the instance's content, so the result is
+byte-identical across processes and runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional
 
-from ..bigdata.backends import ExecutionBackend, chunked, get_backend
 from ..determinism.stable import stable_hash, stable_str_key
 from ..obs import core as _obs
 from .maxsat import MaxSatResult, WeightedMaxSat
+
+#: Components with at most this many variables are solved exactly.  Chosen
+#: by measurement against the WalkSAT per-component budget on a 2-core
+#: host: on k-variable mutual-exclusion cliques (the shape a functionality
+#: group grounds to) branch and bound won at every k from 2 to 16 (0.05 ms
+#: against 12 ms at k=2, 208 ms against 1,033 ms at k=16); on k-variable
+#: exclusion chains, where far fewer branches prune, it still won at k=16
+#: (58 ms against 184 ms) but lost by k=20 (456 ms against 355 ms).
+EXACT_MAX_VARIABLES = 16
 
 #: Flip budget floor per component: even a tiny conflicted component gets
 #: enough flips to escape a bad restart basin.
@@ -56,13 +64,14 @@ class Component:
     def seed(self, base_seed: int) -> int:
         """The component's solver seed: a stable hash of (base seed, key).
 
-        Depends only on the component's content, never on scheduling, so
-        every worker count replays the identical search trajectory.
+        Depends only on the component's content, so every run of a
+        WalkSAT-fallback component replays the identical search trajectory.
         """
         return stable_hash((base_seed, self.key))
 
     def flip_budget(self, max_flips: int) -> int:
-        """The component's WalkSAT budget, scaled to its clause count."""
+        """The component's WalkSAT budget (fallback only), scaled to its
+        clause count."""
         scaled = max(MIN_COMPONENT_FLIPS, FLIPS_PER_CLAUSE * len(self.clause_indexes))
         return min(max_flips, scaled)
 
@@ -165,113 +174,6 @@ def decompose(problem: WeightedMaxSat) -> Decomposition:
 # ------------------------------------------------------- component solving
 
 
-class ComponentCache:
-    """A content-addressed cache of per-component solve outcomes.
-
-    Because a component's seed, flip budget, and clause payload derive
-    from its *content* only, identical content solves to an identical
-    outcome in every process — so an incremental re-reasoning pass can
-    skip every component the new candidates did not touch and replay the
-    stored outcome bit for bit.  Keys hash the full work order (canonical
-    key, clause payload, seed, budget, restarts, noise); values store the
-    assignment as a boolean vector aligned with the component's canonical
-    variable order plus the exact soft/hard/flips numbers, which makes the
-    cache JSON-serializable (floats round-trip exactly through ``repr``).
-    """
-
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self, entries: Optional[dict[str, dict]] = None) -> None:
-        self.entries = entries if entries is not None else {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def task_key(task: "_ComponentTask") -> str:
-        """The content hash of one component work order (hex)."""
-        return f"{stable_hash(repr(task)):016x}"
-
-    def lookup(
-        self, task: "_ComponentTask", component: Component
-    ) -> Optional["_ComponentOutcome"]:
-        """The stored outcome for a work order, rebuilt against the
-        current component's variables — or None on a miss."""
-        entry = self.entries.get(self.task_key(task))
-        if entry is None or len(entry["assignment"]) != len(component.variables):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return (
-            component.key,
-            dict(zip(component.variables, entry["assignment"])),
-            entry["soft"],
-            entry["hard"],
-            entry["flips"],
-        )
-
-    def store(
-        self,
-        task: "_ComponentTask",
-        component: Component,
-        outcome: "_ComponentOutcome",
-    ) -> None:
-        """Record one solved component's outcome."""
-        __, assignment, soft, hard, flips = outcome
-        self.entries[self.task_key(task)] = {
-            "assignment": [
-                bool(assignment[variable]) for variable in component.variables
-            ],
-            "soft": soft,
-            "hard": hard,
-            "flips": flips,
-        }
-
-
-#: One component's picklable work order: (canonical key, clause payloads,
-#: seed, max_flips, restarts, noise).
-_ComponentTask = tuple
-
-#: One component's picklable outcome: (key, assignment, soft, hard, flips).
-_ComponentOutcome = tuple
-
-
-def _batch_clause_cost(batch: list[_ComponentTask]) -> int:
-    """Estimated cost of one component batch: its total clause count.
-
-    The work-stealing schedule dispatches the heaviest batch first, so
-    the one lopsided component (one huge functionality group) starts
-    immediately instead of serializing behind a worker's lighter batches.
-    """
-    return sum(len(clause_payload) for __, clause_payload, *___ in batch)
-
-
-def _solve_component_batch(batch: list[_ComponentTask]) -> list[_ComponentOutcome]:
-    """Solve one batch of components (runs inside a backend worker)."""
-    outcomes: list[_ComponentOutcome] = []
-    with _obs.span("maxsat.component_batch") as tracing:
-        clause_total = 0
-        for key, clause_payload, seed, max_flips, restarts, noise in batch:
-            sub = WeightedMaxSat()
-            for literals, weight in clause_payload:
-                sub.add_clause(literals, weight)
-            clause_total += len(clause_payload)
-            result = sub.solve(
-                seed=seed, max_flips=max_flips, restarts=restarts, noise=noise
-            )
-            outcomes.append(
-                (
-                    key,
-                    dict(result.assignment),
-                    result.soft_cost,
-                    result.hard_violations,
-                    result.flips,
-                )
-            )
-        tracing.add("components", len(batch))
-        tracing.add("clauses", clause_total)
-    return outcomes
-
-
 def solve_decomposed(
     problem: WeightedMaxSat,
     seed: int = 0,
@@ -279,107 +181,51 @@ def solve_decomposed(
     restarts: int = 3,
     noise: float = 0.1,
     decomposition: Optional[Decomposition] = None,
-    backend: Union[str, ExecutionBackend, None] = "auto",
-    workers: int = 0,
-    schedule: str = "static",
-    cache: Optional[ComponentCache] = None,
 ) -> MaxSatResult:
-    """Solve ``problem`` component by component; optionally in parallel.
+    """Solve ``problem`` component by component.
 
     Semantically equivalent to :meth:`WeightedMaxSat.solve` — the optimum
-    of a disconnected instance is the union of component optima — and
-    byte-identical across worker counts, backends, and schedules:
-    component seeds and flip budgets derive from component content, and
-    costs/assignments merge in sorted-canonical-key order.  Passing a
-    resolved :class:`ExecutionBackend` reuses its (persistent) pool; a
-    string spec resolves — and closes — a backend per call.
-
-    With a :class:`ComponentCache`, components whose content-derived work
-    order is already cached replay their stored outcome instead of
-    searching (the incremental build's component-scoped re-reasoning);
-    freshly solved components are stored back.  Cached or not, outcomes
-    merge in the same canonical component order, so the result is
-    byte-identical to an uncached solve.
+    of a disconnected instance is the union of component optima.  A
+    component of at most :data:`EXACT_MAX_VARIABLES` variables is solved
+    to optimality by :meth:`WeightedMaxSat.solve_exact` (whose documented
+    tie-break picks among equal-cost optima); a larger one falls back to
+    WalkSAT under its content-derived seed and flip budget.  Costs and
+    assignments merge in sorted-canonical-key order, so the result is a
+    pure function of the instance and ``seed``.
     """
     if decomposition is None:
         with _obs.span("maxsat.decompose"):
             decomposition = decompose(problem)
     components = decomposition.components
-    if _obs.ENABLED:
-        _obs.count("maxsat.components", len(components))
-        _obs.count("maxsat.trivial_vars", len(decomposition.trivial))
-        _obs.gauge("maxsat.largest_component", decomposition.largest_component)
-
     clauses = problem.clauses
-    tasks: list[_ComponentTask] = [
-        (
-            component.key,
-            [
-                (clauses[index].literals, clauses[index].weight)
-                for index in component.clause_indexes
-            ],
-            component.seed(seed),
-            component.flip_budget(max_flips),
-            restarts,
-            noise,
-        )
-        for component in components
-    ]
-
-    # Split off cache replays: the cached positions are satisfied from the
-    # stored outcomes, only the remainder goes to the solver fleet.
-    outcome_at: dict[int, _ComponentOutcome] = {}
-    pending: list[tuple[int, _ComponentTask]] = []
-    if cache is not None:
-        for position, task in enumerate(tasks):
-            hit = cache.lookup(task, components[position])
-            if hit is not None:
-                outcome_at[position] = hit
-            else:
-                pending.append((position, task))
-        if _obs.ENABLED:
-            _obs.count("maxsat.cache.hits", len(outcome_at))
-            _obs.count("maxsat.cache.misses", len(pending))
-    else:
-        pending = list(enumerate(tasks))
-
-    pending_tasks = [task for __, task in pending]
-    executor = get_backend(backend, workers)
-    owns_executor = not isinstance(backend, ExecutionBackend)
-    try:
-        if executor.workers <= 1 or len(pending_tasks) <= 1:
-            batches = [_solve_component_batch(pending_tasks)] if pending_tasks else []
-        else:
-            batches = executor.map(
-                _solve_component_batch,
-                chunked(pending_tasks, executor.workers * 4),
-                schedule=schedule,
-                cost_key=_batch_clause_cost,
-            )
-    finally:
-        if owns_executor:
-            executor.close()
-
-    solved = [outcome for batch in batches for outcome in batch]
-    for (position, task), outcome in zip(pending, solved):
-        outcome_at[position] = outcome
-        if cache is not None:
-            cache.store(task, components[position], outcome)
-
     assignment: dict[Hashable, bool] = {}
     soft_cost = 0.0
     hard_violations = 0
     flips = 0
-    # Outcomes merge in sorted-component-key order (the order the tasks
-    # were built in), whether they were freshly solved or replayed from
-    # the cache, so this float accumulation order is canonical for every
-    # backend and every cache state.
-    for position in range(len(components)):
-        __, component_assignment, soft, hard, component_flips = outcome_at[position]
-        assignment.update(component_assignment)
-        soft_cost += soft
-        hard_violations += hard
-        flips += component_flips
+    walksat_components = 0
+    for component in components:
+        sub = WeightedMaxSat()
+        for index in component.clause_indexes:
+            sub.add_clause(clauses[index].literals, clauses[index].weight)
+        if len(component.variables) <= EXACT_MAX_VARIABLES:
+            result = sub.solve_exact(EXACT_MAX_VARIABLES)
+        else:
+            walksat_components += 1
+            result = sub.solve(
+                seed=component.seed(seed),
+                max_flips=component.flip_budget(max_flips),
+                restarts=restarts,
+                noise=noise,
+            )
+        assignment.update(result.assignment)
+        soft_cost += result.soft_cost
+        hard_violations += result.hard_violations
+        flips += result.flips
     for variable in sorted(decomposition.trivial, key=stable_str_key):
         assignment[variable] = decomposition.trivial[variable]
+    if _obs.ENABLED:
+        _obs.count("maxsat.components", len(components))
+        _obs.count("maxsat.walksat_components", walksat_components)
+        _obs.count("maxsat.trivial_vars", len(decomposition.trivial))
+        _obs.gauge("maxsat.largest_component", decomposition.largest_component)
     return MaxSatResult(assignment, soft_cost, hard_violations, flips)

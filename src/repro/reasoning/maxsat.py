@@ -1,4 +1,4 @@
-"""A weighted MaxSat solver: unit propagation plus WalkSAT local search.
+"""A weighted MaxSat solver: WalkSAT local search and exact branch and bound.
 
 The SOFIE line of work phrases knowledge-base consistency reasoning as
 weighted MaxSat: candidate facts are soft unit clauses weighted by
@@ -8,7 +8,9 @@ the classic recipe — simplify with unit propagation on hard clauses, then
 WalkSAT with random restarts — implemented incrementally (per-flip work is
 proportional to the flipped variable's clause membership, not the instance
 size), deterministic under a seed, and adequate for the few-thousand-clause
-problems the experiments ground.
+problems the experiments ground.  :meth:`WeightedMaxSat.solve_exact` is the
+exact alternative for small instances, which is what the component-wise
+consistency solve (:mod:`.decompose`) runs on almost every component.
 """
 
 from __future__ import annotations
@@ -149,9 +151,7 @@ class WeightedMaxSat:
         assert best_assignment is not None
         hard, soft = self.cost_of(best_assignment)
         if _obs.ENABLED:
-            _obs.count("maxsat.solve_calls")
-            _obs.count("maxsat.variables", len(self._variables))
-            _obs.count("maxsat.clauses", len(self._clauses))
+            self._count_solve()
             _obs.count("maxsat.flips", total_flips)
         return MaxSatResult(best_assignment, soft, hard, total_flips)
 
@@ -160,9 +160,15 @@ class WeightedMaxSat:
 
         The tutorial lists "weighted MaxSat or ILP solvers" for consistency
         reasoning; this is the exact 0-1 optimization route, feasible for
-        small instances (bounded by ``max_variables``).  Branching order is
-        by clause involvement; the bound prunes branches whose already-lost
-        soft weight exceeds the incumbent.
+        small instances (bounded by ``max_variables``).  The bound prunes
+        branches whose already-lost cost is no better than the incumbent.
+
+        Tie-break among equal-cost optima: variables branch in (clause
+        involvement descending, ``repr``) order, each trying True before
+        False, and only a strictly cheaper leaf replaces the incumbent — so
+        the answer is the *first* optimum in that order.  Ties between
+        equal weights therefore resolve the same whatever order the clauses
+        were added in.
         """
         variables = self.variables
         if len(variables) > max_variables:
@@ -212,7 +218,15 @@ class WeightedMaxSat:
 
         descend(0, {})
         hard, soft = best_key
+        if _obs.ENABLED:
+            self._count_solve()
         return MaxSatResult(best_assignment, soft, int(hard), flips=0)
+
+    def _count_solve(self) -> None:
+        """Record one solve call and the instance size it searched."""
+        _obs.count("maxsat.solve_calls")
+        _obs.count("maxsat.variables", len(self._variables))
+        _obs.count("maxsat.clauses", len(self._clauses))
 
     def _unit_propagate(self) -> dict[Hashable, bool]:
         """Fixpoint of hard unit clauses, queue-driven.

@@ -321,7 +321,6 @@ class TestCrossModeReporting:
         labels = [mode.label for mode in CROSS_MODES]
         assert labels == [
             "serial", "shards4", "thread2", "process2",
-            "reasoner-thread2", "reasoner-process2",
             "steal-thread2", "steal-process2",
             "corpus-thread2", "corpus-process2", "steal-corpus-process2",
         ]
@@ -329,17 +328,12 @@ class TestCrossModeReporting:
         assert by_label["shards4"].shards == 4
         assert by_label["thread2"].backend == "thread"
         assert by_label["process2"].workers == 2
-        assert by_label["reasoner-thread2"].reasoner_backend == "thread"
-        assert by_label["reasoner-thread2"].reasoner_workers == 2
-        assert by_label["reasoner-process2"].reasoner_backend == "process"
-        assert by_label["reasoner-process2"].reasoner_workers == 2
-        # The steal modes run work-stealing dispatch through *both* the
-        # extraction and reasoner stages, over one shared worker pool.
+        # The steal modes run work-stealing dispatch over the extraction
+        # worker pool.
         for label in ("steal-thread2", "steal-process2"):
             mode = by_label[label]
             assert mode.schedule == "steal"
-            assert mode.workers == 2 and mode.reasoner_workers == 2
-            assert mode.backend == mode.reasoner_backend
+            assert mode.workers == 2
         # Static modes leave the schedule at the CLI default.
         assert by_label["serial"].schedule is None
         # The corpus modes push page payloads through the segment-backed

@@ -322,3 +322,23 @@ class TestInstrumentedComponents:
         assert counters["maxsat.components"] == report.components
         assert counters["maxsat.trivial_vars"] == report.trivial_vars
         assert counters.get("maxsat.solve_calls", 0) == report.components
+        # Every component is small, so none falls back to WalkSAT.
+        assert counters["maxsat.walksat_components"] == 0
+        assert counters.get("maxsat.flips", 0) == 0
+
+        # In a build, the taxonomy view the reasoner checks types against
+        # is its own child span of the consistency stage.
+        from repro.corpus import build_wiki
+        from repro.pipeline import KnowledgeBaseBuilder
+        from repro.world import WorldConfig, generate_world
+
+        small = generate_world(WorldConfig(seed=55, n_people=10))
+        obs.reset()
+        KnowledgeBaseBuilder(build_wiki(small), aliases=small.aliases).build()
+        stages = {entry["stage"] for entry in obs.stage_breakdown()}
+        assert (
+            "pipeline.build/pipeline.consistency/consistency.taxonomy" in stages
+        )
+        assert (
+            "pipeline.build/pipeline.consistency/consistency.clean" in stages
+        )

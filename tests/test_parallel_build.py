@@ -24,25 +24,14 @@ from repro.kb import Entity, Relation, TimeSpan, Triple
 from repro.pipeline import BuildConfig, KnowledgeBaseBuilder
 from repro.world import WorldConfig, generate_world
 
-#: The execution-mode matrix: label -> BuildConfig overrides.  The
-#: reasoner modes exercise the component-decomposed parallel MaxSat path.
+#: The execution-mode matrix: label -> BuildConfig overrides.
 MODES = {
     "serial": {},
     "shards4": {"mapreduce_shards": 4},
     "thread2": {"workers": 2, "backend": "thread"},
     "process2": {"workers": 2, "backend": "process"},
-    "reasoner-thread2": {"reasoner_workers": 2, "reasoner_backend": "thread"},
-    "reasoner-process2": {"reasoner_workers": 2, "reasoner_backend": "process"},
-    "steal-thread2": {
-        "workers": 2, "backend": "thread",
-        "reasoner_workers": 2, "reasoner_backend": "thread",
-        "schedule": "steal",
-    },
-    "steal-process2": {
-        "workers": 2, "backend": "process",
-        "reasoner_workers": 2, "reasoner_backend": "process",
-        "schedule": "steal",
-    },
+    "steal-thread2": {"workers": 2, "backend": "thread", "schedule": "steal"},
+    "steal-process2": {"workers": 2, "backend": "process", "schedule": "steal"},
 }
 
 

@@ -1,5 +1,7 @@
 """Integration tests: the end-to-end KB builder and cross-module flows."""
 
+import gc
+
 import pytest
 
 from repro.analytics import TemplateQA
@@ -128,6 +130,57 @@ class TestAblations:
         ).build()
         assert report.pattern_candidates == 0
         assert report.infobox_candidates > 0
+
+
+class TestCollectorPause:
+    """The cyclic garbage collector is off during a build and restored after."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        from repro.corpus import build_wiki
+        from repro.world import WorldConfig, generate_world
+
+        world = generate_world(WorldConfig(seed=5, n_people=8))
+        return world, build_wiki(world)
+
+    @staticmethod
+    def _probe_integrate(monkeypatch, seen, fail=False):
+        from repro.pipeline import builder
+
+        original = builder.integrate
+
+        def probe(wiki):
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("stage failed")
+            return original(wiki)
+
+        monkeypatch.setattr(builder, "integrate", probe)
+
+    def test_paused_during_build_and_resumed_after(self, small, monkeypatch):
+        world, wiki = small
+        seen = []
+        self._probe_integrate(monkeypatch, seen)
+        assert gc.isenabled()
+        KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_resumed_when_the_build_raises(self, small, monkeypatch):
+        world, wiki = small
+        self._probe_integrate(monkeypatch, [], fail=True)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self, small):
+        world, wiki = small
+        gc.disable()
+        try:
+            KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestBuildDeterminismUnderTracing:

@@ -73,7 +73,7 @@ class TestIncrementalEqualsFull:
         # The delta actually exercised the caches, not a silent rebuild.
         assert second.cached_pages > 0
         assert second.reextracted_pages < second.total_pages
-        assert second.cached_components > 0
+        assert second.components > 0
         assert first.epoch_after != first.epoch_before
         assert second.epoch_after != first.epoch_after
 
@@ -271,6 +271,24 @@ class TestBuilderStateAndServing:
             IncrementalBuilder(
                 directory, BuildConfig(use_consistency=False)
             )
+
+    def test_version_1_state_rejected(self, tmp_path, small_wiki):
+        directory = str(tmp_path / "inc")
+        page = small_wiki.pages[sorted(small_wiki.pages)[0]]
+        with IncrementalBuilder(directory) as builder:
+            builder.ingest(pages=[page])
+        path = os.path.join(directory, STATE_NAME)
+        with open(path, encoding="utf-8") as handle:
+            state = json.load(handle)
+        # Version 1 also carried the consistency component cache.
+        state["state_version"] = 1
+        state["components"] = {}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+        with pytest.raises(
+            ValueError, match="unsupported ingest state version: 1"
+        ):
+            IncrementalBuilder(directory)
 
     def test_state_survives_and_is_excluded_from_diffs(
         self, tmp_path, small_world, small_wiki

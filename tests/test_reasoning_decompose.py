@@ -1,10 +1,11 @@
-"""Tests for repro.reasoning.decompose (component-parallel MaxSat).
+"""Tests for repro.reasoning.decompose (exact-first component MaxSat).
 
 The contract under test: ``solve_decomposed`` reaches the same
 ``(hard_violations, soft_cost)`` key as the monolithic solver (the optimum
 of a disconnected instance is the union of component optima), decides
-constraint-free variables closed-form without search, and produces
-byte-identical results for every backend and worker count.
+constraint-free variables closed-form without search, solves small
+components exactly with a documented tie-break, and falls back to seeded
+WalkSAT above ``EXACT_MAX_VARIABLES`` with byte-identical results.
 """
 
 from __future__ import annotations
@@ -12,16 +13,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kb import Entity, Relation, Taxonomy, Triple, TripleStore
+from repro.kb import (
+    Entity,
+    Literal,
+    Relation,
+    Taxonomy,
+    Triple,
+    TripleStore,
+    ns,
+)
 from repro.determinism import canonical_kb_text
 from repro.extraction.consistency import ConsistencyReasoner
-from repro.reasoning import (
-    HARD,
-    ComponentCache,
-    WeightedMaxSat,
-    decompose,
-    solve_decomposed,
-)
+from repro.reasoning import HARD, WeightedMaxSat, decompose, solve_decomposed
+from repro.reasoning.decompose import EXACT_MAX_VARIABLES
 
 
 def _two_component_problem() -> WeightedMaxSat:
@@ -130,80 +134,67 @@ class TestSolveDecomposed:
         assert result.soft_cost == 0.0
         assert result.hard_violations == 0
 
-    def test_component_cache_replays_outcomes_bit_for_bit(self):
-        uncached = solve_decomposed(_two_component_problem(), seed=3)
-        cache = ComponentCache()
-        cold = solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-        warm = solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        # Second pass: every non-trivial component replays from the cache.
-        assert cache.hits == 2 and cache.misses == 2
-        for result in (cold, warm):
-            assert result.assignment == uncached.assignment
-            assert repr(result.soft_cost) == repr(uncached.soft_cost)
-            assert result.hard_violations == uncached.hard_violations
+    def test_small_components_solve_exactly_without_flips(self):
+        result = solve_decomposed(_two_component_problem(), seed=3)
+        assert result.flips == 0
+        assert result.true_variables() == {"x0", "y0", "y2", "z0", "z1"}
 
-    def test_component_cache_entries_round_trip_through_json(self):
-        import json as _json
 
-        cache = ComponentCache()
-        solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        revived = ComponentCache(
-            _json.loads(_json.dumps(cache.entries))
+class TestExactTieBreak:
+    """``solve_exact`` keeps the first optimum in (involvement descending,
+    ``repr``) order, trying True before False."""
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_equal_weight_functional_pair_picks_documented_winner(self, order):
+        problem = WeightedMaxSat()
+        for name in order:
+            problem.add_soft_unit(name, True, 0.5)
+        problem.add_hard([(order[0], False), (order[1], False)])
+        result = problem.solve_exact()
+        # Equal involvement, so repr order branches "a" first; True is
+        # tried first and no later leaf is strictly cheaper.
+        assert result.assignment == {"a": True, "b": False}
+        assert result.soft_cost == 0.5
+        assert solve_decomposed(problem).assignment == result.assignment
+
+
+# ---------------------------------------------- WalkSAT above the threshold
+
+_SUBJECT = Entity("world:Subject")
+_FUNCTIONAL = Relation("rel:uniqueOf")
+
+
+def _oversized_functional_group() -> tuple[Taxonomy, TripleStore]:
+    """One (subject, functional relation) group above the exact limit."""
+    taxonomy = Taxonomy(
+        TripleStore([Triple(_FUNCTIONAL, ns.FUNCTIONAL, Literal("true"))])
+    )
+    size = EXACT_MAX_VARIABLES + 2
+    candidates = TripleStore(
+        Triple(
+            _SUBJECT, _FUNCTIONAL, Entity(f"world:Object{index:02d}"),
+            confidence=0.3 + 0.6 * index / size, source="test",
         )
-        replay = solve_decomposed(
-            _two_component_problem(), seed=3, cache=revived
-        )
-        assert revived.hits == 2 and revived.misses == 0
-        baseline = solve_decomposed(_two_component_problem(), seed=3)
-        assert replay.assignment == baseline.assignment
-        assert repr(replay.soft_cost) == repr(baseline.soft_cost)
+        for index in range(size)
+    )
+    return taxonomy, candidates
 
-    def test_component_cache_ignores_mismatched_content(self):
-        cache = ComponentCache()
-        solve_decomposed(_two_component_problem(), seed=3, cache=cache)
-        # A different seed changes every work order: all misses again.
-        solve_decomposed(_two_component_problem(), seed=4, cache=cache)
-        assert cache.hits == 0
-        assert cache.misses == 4
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("serial", 0), ("thread", 2), ("process", 2),
-    ])
-    def test_backends_byte_identical(self, backend, workers):
-        problem = _two_component_problem()
-        reference = solve_decomposed(problem, seed=11)
-        other = solve_decomposed(
-            _two_component_problem(), seed=11, backend=backend, workers=workers
-        )
-        assert other.assignment == reference.assignment
-        assert other.soft_cost == reference.soft_cost
-        assert other.hard_violations == reference.hard_violations
-        assert other.flips == reference.flips
+class TestWalkSatFallback:
+    def test_oversized_component_goes_through_walksat(self):
+        taxonomy, candidates = _oversized_functional_group()
+        problem, __, __ = ConsistencyReasoner(taxonomy).ground(candidates)
+        decomposition = decompose(problem)
+        assert decomposition.largest_component > EXACT_MAX_VARIABLES
+        assert solve_decomposed(problem, decomposition=decomposition).flips > 0
 
-    def test_steal_schedule_byte_identical(self):
-        problem = _two_component_problem()
-        reference = solve_decomposed(problem, seed=11)
-        for backend, workers in (("thread", 2), ("process", 2)):
-            stolen = solve_decomposed(
-                _two_component_problem(), seed=11,
-                backend=backend, workers=workers, schedule="steal",
-            )
-            assert stolen.assignment == reference.assignment
-            assert stolen.soft_cost == reference.soft_cost
-            assert stolen.hard_violations == reference.hard_violations
-            assert stolen.flips == reference.flips
-
-    def test_worker_count_does_not_change_result(self):
-        problem = _two_component_problem()
-        reference = solve_decomposed(problem, seed=5)
-        for workers in (2, 3, 4):
-            again = solve_decomposed(
-                _two_component_problem(), seed=5,
-                backend="thread", workers=workers,
-            )
-            assert again.assignment == reference.assignment
-            assert again.soft_cost == reference.soft_cost
+    def test_oversized_component_keeps_heaviest_fact_deterministically(self):
+        taxonomy, candidates = _oversized_functional_group()
+        heaviest = max(candidates, key=lambda triple: triple.confidence)
+        first, __ = ConsistencyReasoner(taxonomy).clean(candidates)
+        second, __ = ConsistencyReasoner(taxonomy).clean(candidates)
+        assert [triple.spo() for triple in first] == [heaviest.spo()]
+        assert canonical_kb_text(first) == canonical_kb_text(second)
 
 
 # ------------------------------------------------- randomized equivalence
@@ -324,46 +315,6 @@ class TestCleanedKbCrossBackend:
     def cleaned_reference(self, world):
         reasoner = ConsistencyReasoner(Taxonomy(world.store))
         return reasoner.clean(_noisy_candidates(world))
-
-    @pytest.mark.parametrize("backend,workers", [
-        ("serial", 0), ("thread", 2), ("process", 2),
-    ])
-    def test_cleaned_kb_byte_identical(
-        self, world, cleaned_reference, backend, workers
-    ):
-        reference_kb, reference_report = cleaned_reference
-        with ConsistencyReasoner(
-            Taxonomy(world.store), workers=workers, backend=backend
-        ) as reasoner:
-            cleaned, report = reasoner.clean(_noisy_candidates(world))
-        assert canonical_kb_text(cleaned) == canonical_kb_text(reference_kb)
-        assert report == reference_report
-
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 2), ("process", 2),
-    ])
-    def test_steal_schedule_cleaned_kb_byte_identical(
-        self, world, cleaned_reference, backend, workers
-    ):
-        reference_kb, reference_report = cleaned_reference
-        with ConsistencyReasoner(
-            Taxonomy(world.store), workers=workers, backend=backend,
-            schedule="steal",
-        ) as reasoner:
-            cleaned, report = reasoner.clean(_noisy_candidates(world))
-        assert canonical_kb_text(cleaned) == canonical_kb_text(reference_kb)
-        assert report == reference_report
-
-    def test_persistent_pool_reused_across_cleans(self, world):
-        with ConsistencyReasoner(
-            Taxonomy(world.store), workers=2, backend="thread"
-        ) as reasoner:
-            first, __ = reasoner.clean(_noisy_candidates(world))
-            second, __ = reasoner.clean(_noisy_candidates(world))
-            assert canonical_kb_text(first) == canonical_kb_text(second)
-            # One pool spinup serves every clean() of the reasoner's life.
-            assert reasoner.backend.spinups == 1
-            assert reasoner.backend.reuses >= 1
 
     def test_report_carries_decomposition_shape(self, cleaned_reference):
         __, report = cleaned_reference
