@@ -23,7 +23,10 @@ class Taxonomy:
 
     The taxonomy is a snapshot: build it once after the schema triples are
     loaded.  Cycles in ``subClassOf`` are tolerated (each class simply ends
-    up subsuming the others in its cycle).
+    up subsuming the others in its cycle).  Because nothing changes after
+    construction, transitive closures are memoized per instance as
+    ``frozenset``s; every query returns a fresh ``set``, so a caller that
+    mutates a result cannot change the next one.
     """
 
     def __init__(self, store: TripleStore) -> None:
@@ -36,6 +39,9 @@ class Taxonomy:
         self._functional: set[Relation] = set()
         self._disjoint_relations: set[frozenset[Relation]] = set()
         self._disjoint_classes: set[frozenset[Entity]] = set()
+        self._superclass_memo: dict[Entity, frozenset[Entity]] = {}
+        self._subclass_memo: dict[Entity, frozenset[Entity]] = {}
+        self._types_memo: dict[Entity, frozenset[Entity]] = {}
         self._load(store)
 
     def _load(self, store: TripleStore) -> None:
@@ -74,14 +80,29 @@ class Taxonomy:
 
     def superclasses(self, cls: Entity, include_self: bool = False) -> set[Entity]:
         """The transitive superclasses of ``cls`` (BFS over subClassOf)."""
-        return self._closure(cls, self._parents, include_self)
+        closure = self._memo(cls, self._parents, self._superclass_memo)
+        return set(closure) | {cls} if include_self else set(closure)
 
     def subclasses(self, cls: Entity, include_self: bool = False) -> set[Entity]:
         """The transitive subclasses of ``cls``."""
-        return self._closure(cls, self._children, include_self)
+        closure = self._memo(cls, self._children, self._subclass_memo)
+        return set(closure) | {cls} if include_self else set(closure)
+
+    def _memo(
+        self,
+        start: Entity,
+        edges: dict[Entity, set[Entity]],
+        memo: dict[Entity, frozenset[Entity]],
+    ) -> frozenset[Entity]:
+        """The memoized exclusive closure of ``start`` along ``edges``."""
+        closure = memo.get(start)
+        if closure is None:
+            closure = memo[start] = frozenset(self._closure(start, edges, False))
+        return closure
 
     @staticmethod
     def _closure(start: Entity, edges: dict[Entity, set[Entity]], include_self: bool) -> set[Entity]:
+        """The uncached BFS the memoized closures are built from."""
         seen: set[Entity] = {start} if include_self else set()
         queue = deque(edges.get(start, ()))
         visited = {start}
@@ -96,18 +117,29 @@ class Taxonomy:
 
     def is_subclass_of(self, sub: Entity, sup: Entity) -> bool:
         """True if ``sub`` is ``sup`` or a transitive subclass of it."""
-        return sub == sup or sup == ns.THING or sup in self.superclasses(sub)
+        return (
+            sub == sup
+            or sup == ns.THING
+            or sup in self._memo(sub, self._parents, self._superclass_memo)
+        )
 
     # -------------------------------------------------------------- instances
 
     def types_of(self, entity: Entity, transitive: bool = True) -> set[Entity]:
         """The classes an entity belongs to (transitive closure by default)."""
-        direct = set(self._types.get(entity, ()))
         if not transitive:
-            return direct
-        full = set(direct)
-        for cls in direct:  # det: allow-unordered -- set union commutes
-            full |= self.superclasses(cls)
+            return set(self._types.get(entity, ()))
+        return set(self._all_types(entity))
+
+    def _all_types(self, entity: Entity) -> frozenset[Entity]:
+        """The memoized transitive types of an entity."""
+        full = self._types_memo.get(entity)
+        if full is None:
+            direct = self._types.get(entity, ())
+            closure = set(direct)
+            for cls in direct:  # det: allow-unordered -- set union commutes
+                closure |= self._memo(cls, self._parents, self._superclass_memo)
+            full = self._types_memo[entity] = frozenset(closure)
         return full
 
     def instances_of(self, cls: Entity, transitive: bool = True) -> set[Entity]:
@@ -122,7 +154,7 @@ class Taxonomy:
         """True if the entity is a (transitive) instance of the class."""
         if cls == ns.THING:
             return True
-        return cls in self.types_of(entity)
+        return cls in self._all_types(entity)
 
     # ---------------------------------------------------------------- schema
 

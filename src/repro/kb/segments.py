@@ -363,6 +363,21 @@ def _logical_epoch(parts_by_key: dict[bytes, tuple[str, str, str, str]]) -> str:
     return epoch_hex(accumulator)
 
 
+def _current_winner(
+    segments: list["_OpenSegment"], key: bytes
+) -> Optional[tuple[str, str, str, str]]:
+    """The record (live or tombstone) that wins ``key`` across
+    ``segments``, newest first; None when no generation holds it."""
+    for segment in segments:
+        if not segment.bloom("spo").might_contain(key):
+            continue
+        handle = segment.order_file("spo")
+        lo, hi = handle.prefix_range(key)
+        if lo < hi:
+            return _parts_from_record(handle.record(lo), "spo")
+    return None
+
+
 def _replace_file(path: str, blob: bytes) -> None:
     """Atomically (re)write one segment file.
 
@@ -795,10 +810,40 @@ class SegmentStore:
     def logical_parts(self) -> dict[bytes, tuple[str, str, str, str]]:
         """The store's merged logical content: newest-wins across the
         generation stack, tombstoned keys dropped, keyed by SPO key bytes.
-        This is what an incremental build diffs a freshly rebuilt KB
-        against to derive the next delta's adds and tombstones."""
+        A freshly opened incremental builder diffs its first rebuilt KB
+        against this to derive the delta's adds and tombstones; later
+        deltas diff against the map their previous flush left behind."""
         with self._lock:
             return self._logical_parts(self._manifest())
+
+    def _roll_forward(
+        self, manifest: dict, batch: dict[bytes, tuple[str, str, str, str]]
+    ) -> tuple[int, int]:
+        """The (epoch accumulator, live count) after ``batch`` lands on top
+        of ``manifest``'s generations: the multiset difference between
+        each key's current winner and its new record.  The accumulator is
+        left unreduced; :func:`epoch_hex` takes it mod 2^128."""
+        accumulator = int(manifest["epoch"], 16)
+        triples = manifest["triples"]
+        segments = [
+            _OpenSegment(self.directory, entry)
+            for entry in sorted(
+                manifest["segments"], key=lambda e: e["generation"], reverse=True
+            )
+        ]
+        try:
+            for key, fields in batch.items():
+                old = _current_winner(segments, key)
+                if old is not None and not is_tombstone(old):
+                    accumulator -= triple_content_hash(_triple_from_parts(old))
+                    triples -= 1
+                if not is_tombstone(fields):
+                    accumulator += triple_content_hash(_triple_from_parts(fields))
+                    triples += 1
+        finally:
+            for segment in segments:
+                segment.close()
+        return accumulator, triples
 
     # -------------------------------------------------------------- writes
 
@@ -814,8 +859,13 @@ class SegmentStore:
         triple of the key to retract (:func:`spo_texts`); it shadows every
         older generation's record for that key and is erased for good at
         :meth:`compact`.  The manifest's logical count and epoch are
-        recomputed over the merged, newest-wins, tombstone-filtered
-        content.
+        maintained per flushed key, at a cost that follows the batch, not
+        the store: each key's current winner is looked up in the existing
+        generations (newest first, through the SPO bloom and one prefix
+        probe), a live old winner is subtracted from the multiset epoch and
+        the count, and a live new record is added.  The result equals
+        :func:`_logical_epoch` over the merged, newest-wins,
+        tombstone-filtered content.
         """
         parts = [record_fields(t) for t in triples]
         dead = [tombstone_fields(*key) for key in tombstones]
@@ -837,13 +887,13 @@ class SegmentStore:
             ) + 1
             name = f"seg-{generation:06d}"
             deduped = _dedup_newest_wins([parts + dead])
+            epoch, triples = self._roll_forward(manifest, deduped)
             entry = _write_segment_files(
                 self.directory, name, [deduped[k] for k in sorted(deduped)]
             )
             manifest["segments"].append(entry)
-            logical = self._logical_parts(manifest)
-            manifest["epoch"] = _logical_epoch(logical)
-            manifest["triples"] = len(logical)
+            manifest["epoch"] = epoch_hex(epoch)
+            manifest["triples"] = triples
             _write_manifest(self.directory, manifest)
             live = len(manifest["segments"])
         if live > self.compact_threshold:
@@ -886,9 +936,11 @@ class SegmentStore:
                 self._CANONICAL,
                 [logical[k] for k in sorted(logical)],
             )
+            # Compaction leaves the logical content, and so the epoch every
+            # flush maintained, unchanged.
             manifest = {
                 "format_version": FORMAT_VERSION,
-                "epoch": _logical_epoch(logical),
+                "epoch": manifest["epoch"],
                 "triples": len(logical),
                 "segments": [entry],
             }

@@ -109,17 +109,21 @@ class TripleStore:
         # match is proof a cached answer is still current.  In-memory only —
         # it never reaches the canonical serialization.
         self._version = 0
-        # Identity epoch: an incrementally maintained multiset hash of the
-        # store's *content* — the sum (mod 2^128) of every live triple's
-        # content digest.  Adds add the digest, removes subtract it, and a
-        # witness replacement swaps old for new, so two stores share an
-        # epoch iff they hold identical triples, regardless of how they got
-        # there.  Equal epoch therefore implies equal observable content,
-        # which is what makes cached results safe across engine rebinds to
-        # copies, filtered views, freshly loaded stores, and segment
-        # snapshots.  Deterministic across processes (no randomness, no
-        # builtin hash).
-        self._epoch_acc = EMPTY_EPOCH
+        # Identity epoch: a multiset hash of the store's *content* — the
+        # sum (mod 2^128) of every live triple's content digest — so two
+        # stores share an epoch iff they hold identical triples, regardless
+        # of how they got there.  Equal epoch therefore implies equal
+        # observable content, which is what makes cached results safe
+        # across engine rebinds to copies, filtered views, freshly loaded
+        # stores, and segment snapshots.  Deterministic across processes
+        # (no randomness, no builtin hash).
+        #
+        # Computed lazily: ``None`` until the first ``epoch`` read sums the
+        # live triples' digests.  From then on adds add the digest, removes
+        # subtract it, and a witness replacement swaps old for new.  Most
+        # stores (the pipeline's intermediate type, fact and view stores)
+        # are never asked for an epoch and so never hash a triple.
+        self._epoch_acc: Optional[int] = None
         self._engine = engine if engine is not None else InMemoryEngine()
         self.add_all(triples)
 
@@ -135,16 +139,20 @@ class TripleStore:
             if triple.confidence > existing.confidence:
                 self._engine.replace(key, triple)
                 self._version += 1
-                self._epoch_acc = (
-                    self._epoch_acc
-                    - triple_content_hash(existing)
-                    + triple_content_hash(triple)
-                ) & _EPOCH_MASK
+                if self._epoch_acc is not None:
+                    self._epoch_acc = (
+                        self._epoch_acc
+                        - triple_content_hash(existing)
+                        + triple_content_hash(triple)
+                    ) & _EPOCH_MASK
                 return 2
             return 0
         self._engine.insert(key, triple)
         self._version += 1
-        self._epoch_acc = (self._epoch_acc + triple_content_hash(triple)) & _EPOCH_MASK
+        if self._epoch_acc is not None:
+            self._epoch_acc = (
+                self._epoch_acc + triple_content_hash(triple)
+            ) & _EPOCH_MASK
         return 1
 
     def add(self, triple: Triple) -> bool:
@@ -199,9 +207,10 @@ class TripleStore:
             return False
         self._engine.delete(key)
         self._version += 1
-        self._epoch_acc = (
-            self._epoch_acc - triple_content_hash(existing)
-        ) & _EPOCH_MASK
+        if self._epoch_acc is not None:
+            self._epoch_acc = (
+                self._epoch_acc - triple_content_hash(existing)
+            ) & _EPOCH_MASK
         return True
 
     def merge(self, other: "TripleStore") -> MutationCounts:
@@ -246,7 +255,16 @@ class TripleStore:
         identical-content store (however it was built, including a
         segment snapshot of the same KB) shares the epoch and therefore
         starts with a warm cache.
+
+        The first read sums every live triple's digest (O(store)); later
+        reads are O(1) because mutations from then on keep the sum current.
+        A store shared between threads must take that first read under the
+        lock its writers hold (``QueryEngine`` does so on bind).
         """
+        if self._epoch_acc is None:
+            self._epoch_acc = sum(
+                map(triple_content_hash, self._engine.triples()), EMPTY_EPOCH
+            ) & _EPOCH_MASK
         return epoch_hex(self._epoch_acc)
 
     @property

@@ -25,6 +25,14 @@ pipeline into that maintenance loop:
   the delta flushed through :meth:`SegmentStore.flush`, erased for good at
   ``compact()``.  The manifest's ``epoch`` rolls forward so a serving
   ``QueryEngine`` rebinds with correct result-cache invalidation.
+* **Work that follows the delta** — a live builder keeps in memory what
+  earlier deltas derived: decoded candidates and tokenized sentences per
+  page (dropped only for pages a batch replaces or re-extracts) and the
+  logical content its last flush left, which the next delta diffs against
+  instead of re-reading every generation.  The flush itself maintains the
+  manifest's epoch and count from the flushed keys alone.  A freshly
+  opened builder reads the same facts back from the state file and the
+  segments, so both paths produce the same bytes.
 
 The crown invariant, guarded by ``repro check-determinism --incremental``:
 ingesting batches one by one and compacting is **byte-identical** — segment
@@ -240,6 +248,12 @@ class IncrementalBuilder:
         # dispatch of ingest N+1 (purely a scheduling input — the
         # determinism contract keeps the bytes identical either way).
         self.cost_model = CostModel()
+        # Per-title decoded candidates and sentence tokens, and the
+        # (epoch, logical content) the last flush left: see "Work that
+        # follows the delta" in the module docstring.
+        self._decoded: dict[str, list[Candidate]] = {}
+        self._tokens: dict[str, list[list[str]]] = {}
+        self._logical: Optional[tuple[str, dict[bytes, tuple]]] = None
 
     # --------------------------------------------------------------- state
 
@@ -370,13 +384,38 @@ class IncrementalBuilder:
                 stale.add(title)
                 continue
             if sequences and any(
-                _contains_sequence(
-                    [token.text for token in tokenize(text)], sequences
-                )
-                for text in record["sentences"]
+                _contains_sequence(tokens, sequences)
+                for tokens in self._sentence_tokens(title)
             ):
                 stale.add(title)
         return stale
+
+    def _sentence_tokens(self, title: str) -> list[list[str]]:
+        """The token texts of each sentence of a page (cached)."""
+        tokens = self._tokens.get(title)
+        if tokens is None:
+            tokens = self._tokens[title] = [
+                [token.text for token in tokenize(text)]
+                for text in self.state["pages"][title]["sentences"]
+            ]
+        return tokens
+
+    def _candidates(self, title: str) -> list[Candidate]:
+        """A page's decoded extraction candidates (cached)."""
+        decoded = self._decoded.get(title)
+        if decoded is None:
+            decoded = self._decoded[title] = [
+                _candidate_from(record)
+                for record in self.state["pages"][title]["candidates"]
+            ]
+        return decoded
+
+    def _logical_content(self, epoch: str) -> dict[bytes, tuple]:
+        """The segment stack's logical content: the last flush's map when
+        the manifest still carries its epoch, else read from the segments."""
+        if self._logical is not None and self._logical[0] == epoch:
+            return self._logical[1]
+        return self.store.logical_parts()
 
     # --------------------------------------------------------------- ingest
 
@@ -404,51 +443,57 @@ class IncrementalBuilder:
             batch = list(pages)
             report.batch_pages = len(batch)
 
-            old_registrations = self._registrations()
-            for page in batch:
-                self.state["pages"][page.title] = _page_record(page)
-            for entity, forms in (aliases or {}).items():
-                self.state["aliases"][term_to_text(entity)] = list(forms)
-            retracted = {tuple(key) for key in self.state["retracted"]}
-            retracted.update(tuple(key) for key in retract)
-            self.state["retracted"] = sorted(retracted)
-            new_registrations = self._registrations()
+            with _obs.span("ingest.affected"):
+                old_registrations = self._registrations()
+                for page in batch:
+                    self.state["pages"][page.title] = _page_record(page)
+                    self._decoded.pop(page.title, None)
+                    self._tokens.pop(page.title, None)
+                for entity, forms in (aliases or {}).items():
+                    self.state["aliases"][term_to_text(entity)] = list(forms)
+                retracted = {tuple(key) for key in self.state["retracted"]}
+                retracted.update(tuple(key) for key in retract)
+                self.state["retracted"] = sorted(retracted)
+                new_registrations = self._registrations()
 
-            affected_names = {
-                name
-                for name in old_registrations.keys()
-                | new_registrations.keys()
-                if old_registrations.get(name) != new_registrations.get(name)
-            }
-            report.affected_names = len(affected_names)
-            report.total_pages = len(self.state["pages"])
+                affected_names = {
+                    name
+                    for name in old_registrations.keys()
+                    | new_registrations.keys()
+                    if old_registrations.get(name) != new_registrations.get(name)
+                }
+                report.affected_names = len(affected_names)
+                report.total_pages = len(self.state["pages"])
 
-            # Re-extract the batch plus every page an affected name can
-            # reach; reuse cached candidates everywhere else.
-            stale = self._affected_titles(
-                {page.title for page in batch}, affected_names
-            )
-            report.reextracted_pages = len(stale)
-            report.cached_pages = report.total_pages - len(stale)
-            wiki = self._wiki()
-            alias_map = self._alias_map()
-            if stale:
-                extractor = PageExtractor(
-                    _build_resolver(wiki, alias_map), self.config
+                # Re-extract the batch plus every page an affected name can
+                # reach; reuse cached candidates everywhere else.
+                stale = self._affected_titles(
+                    {page.title for page in batch}, affected_names
                 )
-                for title in sorted(stale):
-                    self.state["pages"][title]["candidates"] = [
-                        _candidate_record(candidate)
-                        for candidate in extractor.extract(wiki.pages[title])
-                    ]
+                report.reextracted_pages = len(stale)
+                report.cached_pages = report.total_pages - len(stale)
+            with _obs.span("ingest.extract"):
+                wiki = self._wiki()
+                alias_map = self._alias_map()
+                if stale:
+                    extractor = PageExtractor(
+                        _build_resolver(wiki, alias_map), self.config
+                    )
+                    for title in sorted(stale):
+                        self.state["pages"][title]["candidates"] = [
+                            _candidate_record(candidate)
+                            for candidate in extractor.extract(wiki.pages[title])
+                        ]
+                        self._decoded.pop(title, None)
 
             # Full-corpus candidate list in sorted-title order — exactly
             # what the batch pipeline's extraction stage would produce.
-            candidates = [
-                _candidate_from(record)
-                for title in sorted(self.state["pages"])
-                for record in self.state["pages"][title]["candidates"]
-            ]
+            with _obs.span("ingest.decode"):
+                candidates = [
+                    candidate
+                    for title in sorted(self.state["pages"])
+                    for candidate in self._candidates(title)
+                ]
 
             # Rebuild the logical KB through the unchanged downstream
             # stages.
@@ -462,35 +507,43 @@ class IncrementalBuilder:
             if report.build.consistency is not None:
                 report.components = report.build.consistency.components
 
-            # Curated removals: set-minus after the pipeline, so the
-            # invariant stays "full rebuild minus the same retractions".
-            for key in self.state["retracted"]:
-                if kb.remove(_retraction_probe(*key)):
-                    report.retracted += 1
+            with _obs.span("ingest.diff"):
+                # Curated removals: set-minus after the pipeline, so the
+                # invariant stays "full rebuild minus the same retractions".
+                for key in self.state["retracted"]:
+                    if kb.remove(_retraction_probe(*key)):
+                        report.retracted += 1
 
-            # Delta derivation: diff the rebuilt KB against the segment
-            # stack's logical content.  Changed or new keys become delta
-            # records, disappeared keys become tombstones.
-            current = self.store.logical_parts()
-            rebuilt: dict[bytes, tuple] = {}
-            additions: list[Triple] = []
-            for triple in kb:
-                fields = record_fields(triple)
-                key = spo_key_bytes(fields)
-                rebuilt[key] = fields
-                if current.get(key) != fields:
-                    additions.append(triple)
-            tombstones = [
-                current[key][:3] for key in current if key not in rebuilt
-            ]
+                # Delta derivation: diff the rebuilt KB against the segment
+                # stack's logical content.  Changed or new keys become
+                # delta records, disappeared keys become tombstones.
+                current = self._logical_content(report.epoch_before)
+                rebuilt: dict[bytes, tuple] = {}
+                additions: list[Triple] = []
+                for triple in kb:
+                    fields = record_fields(triple)
+                    key = spo_key_bytes(fields)
+                    rebuilt[key] = fields
+                    if current.get(key) != fields:
+                        additions.append(triple)
+                tombstones = [
+                    current[key][:3] for key in current if key not in rebuilt
+                ]
             report.added = len(additions)
             report.tombstones = len(tombstones)
-            report.segment = self.store.flush(additions, tombstones=tombstones)
-            if compact:
-                report.compacted = self.store.compact() is not None
-            self._save_state()
+            with _obs.span("ingest.flush"):
+                report.segment = self.store.flush(
+                    additions, tombstones=tombstones
+                )
+                if compact:
+                    report.compacted = self.store.compact() is not None
+                # The stack now holds exactly ``rebuilt``: the next delta
+                # diffs against it instead of re-reading every generation.
+                report.epoch_after = self._epoch()
+                self._logical = (report.epoch_after, rebuilt)
+            with _obs.span("ingest.state_save"):
+                self._save_state()
 
-            report.epoch_after = self._epoch()
             report.triples = len(kb)
             report.elapsed = time.perf_counter() - started
             if _obs.ENABLED:

@@ -149,6 +149,12 @@ class QueryEngine:
         self._stats_lock = threading.Lock()
         self._latency: dict[str, _obs.Histogram] = {}
         self._request_counts: dict[str, int] = {}
+        with self._lock:
+            # A TripleStore computes its epoch on first read; take that read
+            # here, under the writers' lock, so the unlocked read in
+            # ``_serve`` never runs the O(store) first computation while a
+            # writer mutates the store.
+            store.epoch
 
     @property
     def store(self) -> ReadableStore:
@@ -177,6 +183,7 @@ class QueryEngine:
         mutation history (e.g. a ``copy()``) starts warm.
         """
         with self._lock:
+            store.epoch  # first (lazy) epoch read under the lock: see __init__
             self._store = store
 
     # ------------------------------------------------------------- writes

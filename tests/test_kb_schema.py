@@ -61,6 +61,72 @@ class TestHierarchy:
         assert PERSON in taxonomy.superclasses(SCIENTIST)
 
 
+class TestClosureMemo:
+    """Closures are memoized per taxonomy; they must equal the uncached BFS
+    (cycles included) and hand each caller a set of its own."""
+
+    @pytest.fixture
+    def cyclic(self):
+        # physicist -> scientist -> person -> scientist (a cycle), plus a
+        # side branch and an isolated class.
+        return Taxonomy(
+            TripleStore(
+                [
+                    Triple(PHYSICIST, ns.SUBCLASS_OF, SCIENTIST),
+                    Triple(SCIENTIST, ns.SUBCLASS_OF, PERSON),
+                    Triple(PERSON, ns.SUBCLASS_OF, SCIENTIST),
+                    Triple(ORG, ns.SUBCLASS_OF, CITY),
+                    Triple(EINSTEIN, ns.TYPE, PHYSICIST),
+                    Triple(EINSTEIN, ns.TYPE, ORG),
+                    Triple(ACME, ns.TYPE, CITY),
+                ]
+            )
+        )
+
+    CLASSES = (PHYSICIST, SCIENTIST, PERSON, ORG, CITY, Entity("c:none"))
+
+    def test_closures_equal_uncached_bfs(self, cyclic):
+        parents, children = cyclic._parents, cyclic._children
+        for _ in range(2):  # the second pass is served from the memo
+            for cls in self.CLASSES:
+                for include_self in (False, True):
+                    assert cyclic.superclasses(cls, include_self) == (
+                        Taxonomy._closure(cls, parents, include_self)
+                    )
+                    assert cyclic.subclasses(cls, include_self) == (
+                        Taxonomy._closure(cls, children, include_self)
+                    )
+                for sup in self.CLASSES + (ns.THING,):
+                    assert cyclic.is_subclass_of(cls, sup) == (
+                        cls == sup
+                        or sup == ns.THING
+                        or sup in Taxonomy._closure(cls, parents, False)
+                    )
+            for entity in (EINSTEIN, ACME, Entity("w:untyped")):
+                direct = cyclic._types.get(entity, set())
+                expected = set(direct)
+                for cls in direct:
+                    expected |= Taxonomy._closure(cls, parents, False)
+                assert cyclic.types_of(entity) == expected
+                assert cyclic.types_of(entity, transitive=False) == direct
+        assert cyclic.types_of(EINSTEIN) == {PHYSICIST, SCIENTIST, PERSON, ORG, CITY}
+
+    def test_mutating_a_result_does_not_poison_the_memo(self, cyclic):
+        for query in (
+            lambda: cyclic.superclasses(PHYSICIST),
+            lambda: cyclic.superclasses(PHYSICIST, include_self=True),
+            lambda: cyclic.subclasses(PERSON),
+            lambda: cyclic.types_of(EINSTEIN),
+        ):
+            first = query()
+            expected = set(first)
+            first.add(Entity("c:poison"))
+            first.discard(SCIENTIST)
+            assert query() == expected
+        assert not cyclic.is_subclass_of(PHYSICIST, Entity("c:poison"))
+        assert cyclic.is_instance_of(EINSTEIN, SCIENTIST)
+
+
 class TestInstances:
     def test_types_of_transitive(self, taxonomy):
         assert taxonomy.types_of(EINSTEIN) == {PHYSICIST, SCIENTIST, PERSON}

@@ -8,9 +8,11 @@ semantics, compaction, and the directory differ that
 
 import json
 import os
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kb import (
     Entity,
@@ -30,6 +32,7 @@ from repro.kb.segments import (
     SEGMENT_MAGIC,
     BloomFilter,
     ORDERS,
+    _logical_epoch,
     _parts_from_record,
     _record_bytes,
     record_fields,
@@ -440,3 +443,73 @@ class TestWriterRaces:
             assert names == {"seg-000000"}
             with open_snapshot(directory) as snap:
                 assert snap.epoch == store.epoch
+
+
+# A small key pool so random flushes collide: re-adds at higher and lower
+# confidence, tombstones of present and absent keys, re-adds after a
+# tombstone.
+_POOL = [(s, p, o) for s in (A, B) for p in (KNOWS, LIKES) for o in (C, D)]
+_CONFIDENCES = (0.25, 0.5, 0.75, 1.0)
+
+_flush_step = st.tuples(
+    st.just("flush"),
+    st.lists(
+        st.tuples(st.integers(0, len(_POOL) - 1), st.sampled_from(_CONFIDENCES)),
+        max_size=4,
+    ),
+    st.lists(st.integers(0, len(_POOL) - 1), max_size=3),
+)
+_steps = st.lists(
+    st.one_of(_flush_step, st.just(("compact",))), min_size=1, max_size=12
+)
+
+
+class TestMaintainedEpoch:
+    """``flush`` maintains the manifest's epoch and count per flushed key
+    and ``compact`` keeps them; both must equal a full recompute over the
+    merged logical content after every step."""
+
+    @staticmethod
+    def assert_manifest_matches_recompute(seg):
+        manifest = seg._manifest()
+        logical = seg._logical_parts(manifest)
+        assert manifest["epoch"] == _logical_epoch(logical)
+        assert manifest["triples"] == len(logical)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_steps)
+    def test_random_flush_sequences_match_recompute(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            # No background compaction: ``compact()`` runs only where the
+            # sequence asks for it.
+            seg = SegmentStore(directory, compact_threshold=10_000)
+            try:
+                for step in steps:
+                    if step[0] == "compact":
+                        seg.compact()
+                    else:
+                        _, adds, dead = step
+                        added = {index for index, _ in adds}
+                        seg.flush(
+                            [Triple(*_POOL[i], confidence=c) for i, c in adds],
+                            tombstones=[
+                                spo_texts(Triple(*_POOL[i]))
+                                for i in sorted(set(dead) - added)
+                            ],
+                        )
+                    self.assert_manifest_matches_recompute(seg)
+            finally:
+                seg.close()
+
+    def test_flush_onto_write_segments_directory(self, tmp_path, store):
+        directory = str(tmp_path / "seeded")
+        write_segments(store, directory)
+        seg = SegmentStore(directory, compact_threshold=10_000)
+        seg.flush(
+            [Triple(A, KNOWS, B, confidence=0.9), Triple(C, KNOWS, D)],
+            tombstones=[spo_texts(Triple(A, KNOWS, C)), spo_texts(Triple(D, KNOWS, A))],
+        )
+        self.assert_manifest_matches_recompute(seg)
+        seg.compact()
+        self.assert_manifest_matches_recompute(seg)
+        seg.close()

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kb import Entity, Relation, Triple, TripleStore, ns, string_literal
+from repro.kb.segments import open_snapshot, write_segments
+from repro.kb.store import epoch_hex, triple_content_hash
 
 A, B, C = Entity("w:a"), Entity("w:b"), Entity("w:c")
 KNOWS, LIKES = Relation("w:knows"), Relation("w:likes")
@@ -277,6 +279,65 @@ class TestEpoch:
 
     def test_copy_shares_epoch(self, store):
         assert store.copy().epoch == store.epoch
+
+
+def eager_epoch(store: TripleStore) -> str:
+    """The reference epoch: the digest sum over the live triples now."""
+    return epoch_hex(sum(triple_content_hash(t) for t in store))
+
+
+_LAZY_POOL = [Triple(s, p, o) for s in (A, B) for p in (KNOWS, LIKES) for o in (B, C)]
+_mutation = st.tuples(
+    st.sampled_from(["add", "remove"]),
+    st.integers(0, len(_LAZY_POOL) - 1),
+    st.sampled_from([0.2, 0.5, 0.9, 1.0]),
+)
+
+
+class TestLazyEpoch:
+    """The epoch is computed on first read and maintained from then on; it
+    must equal the eager digest sum wherever that first read happens."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_mutation, max_size=20), st.data())
+    def test_first_read_anywhere_matches_eager_sum(self, mutations, data):
+        first_read = data.draw(st.integers(0, len(mutations)))
+        store = TripleStore()
+        for step, (kind, index, confidence) in enumerate(mutations):
+            if step == first_read:
+                assert store.epoch == eager_epoch(store)
+            key = _LAZY_POOL[index]
+            if kind == "add":
+                # Re-adding a key at a higher confidence replaces the witness.
+                store.add(Triple(*key.spo(), confidence=confidence))
+            else:
+                store.remove(key)
+        assert store.epoch == eager_epoch(store)
+
+    def test_never_read_store_still_reports_content(self, store):
+        store.add(Triple(C, LIKES, A, confidence=0.3))
+        store.add(Triple(C, LIKES, A, confidence=0.8))
+        store.remove(Triple(A, KNOWS, B))
+        assert store.epoch == eager_epoch(store)
+
+    @pytest.mark.parametrize("read_source_first", [False, True])
+    def test_copies_views_and_loads_agree_with_snapshot(
+        self, tmp_path, store, read_source_first
+    ):
+        store.add(Triple(A, KNOWS, B, confidence=0.6, source="wiki:a"))
+        if read_source_first:
+            store.epoch
+        write_segments(store, str(tmp_path / "all"))
+        keep = lambda t: t.predicate == KNOWS  # noqa: E731
+        write_segments(store.filtered(keep), str(tmp_path / "knows"))
+        with open_snapshot(str(tmp_path / "all")) as snapshot:
+            assert store.copy().epoch == snapshot.epoch
+            assert store.filtered(lambda t: True).epoch == snapshot.epoch
+            assert TripleStore(snapshot).epoch == snapshot.epoch
+            assert store.epoch == snapshot.epoch
+        with open_snapshot(str(tmp_path / "knows")) as snapshot:
+            assert store.filtered(keep).epoch == snapshot.epoch
+            assert TripleStore(snapshot).epoch == snapshot.epoch
 
 
 class TestMutationCounts:

@@ -342,3 +342,38 @@ class TestInstrumentedComponents:
         assert (
             "pipeline.build/pipeline.consistency/consistency.clean" in stages
         )
+
+    def test_ingest_spans_cover_every_sub_stage(self, tmp_path):
+        from repro.corpus import build_wiki
+        from repro.pipeline import IncrementalBuilder
+        from repro.world import WorldConfig, generate_world
+
+        small = generate_world(WorldConfig(seed=55, n_people=10))
+        wiki = build_wiki(small)
+        titles = sorted(wiki.pages)
+        with IncrementalBuilder(str(tmp_path / "kb")) as builder:
+            builder.ingest(
+                pages=[wiki.pages[t] for t in titles[:-3]], aliases=small.aliases
+            )
+            obs.enable()
+            obs.reset()
+            builder.ingest(pages=[wiki.pages[t] for t in titles[-3:]], compact=True)
+        stages = {entry["stage"]: entry for entry in obs.stage_breakdown()}
+        children = [
+            "ingest.affected",
+            "ingest.extract",
+            "ingest.decode",
+            "pipeline.build",
+            "ingest.diff",
+            "ingest.flush",
+            "ingest.state_save",
+        ]
+        for child in children:
+            assert f"pipeline.ingest/{child}" in stages, sorted(stages)
+        # Every sub-stage is named: the direct children are exactly these.
+        direct = {
+            stage.split("/")[1]
+            for stage in stages
+            if stage.count("/") == 1 and stage.startswith("pipeline.ingest/")
+        }
+        assert direct == set(children)

@@ -2,6 +2,7 @@
 writer-vs-readers concurrency contract."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro import obs
 from repro.kb import Entity, Pattern, Query, Relation, Triple, TripleStore, Var
 from repro.kb.rdfio import term_to_text
+from repro.kb.store import epoch_hex, triple_content_hash
 from repro.serving import (
     MISS,
     BadRequest,
@@ -407,6 +409,100 @@ class TestConcurrencyStress:
             ]
         )
         assert final["count"] == self.WRITES - (self.WRITES + 9) // 10
+
+
+class TestLazyEpochUnderWriters:
+    """A ``TripleStore`` computes its epoch on first read.  An engine bound
+    (or rebound) to a store whose epoch nobody has read yet, with a writer
+    mutating it through the engine, must still tag every response with the
+    (epoch, version) of the state the response reflects."""
+
+    READERS = 4
+    WRITES = 400
+    REBIND_EVERY = 40
+
+    @staticmethod
+    def fresh_store(size: int) -> TripleStore:
+        return TripleStore(
+            Triple(Entity(f"world:S{i}"), LOCATED_IN, GERMANY, confidence=0.5)
+            for i in range(size)
+        )
+
+    def test_no_stale_epoch_version_tags(self):
+        # (reference epoch, version) -> locatedIn count, recorded under the
+        # engine lock right after every mutation.
+        states: dict[tuple[str, int], int] = {}
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def record(store: TripleStore) -> None:
+            reference = epoch_hex(sum(triple_content_hash(t) for t in store))
+            states[(reference, store.version)] = store.count(None, LOCATED_IN, None)
+
+        engine = QueryEngine(self.fresh_store(2000), cache_size=64)
+        engine.mutate(record)
+
+        def writer():
+            try:
+                for i in range(self.WRITES):
+                    if i % self.REBIND_EVERY == 0:
+                        # A new store whose epoch is still unread, recorded
+                        # before it is published.
+                        replacement = self.fresh_store(2000 + i)
+                        record(replacement)
+                        engine.rebind(replacement)
+
+                    def mutate(store, i=i):
+                        triple = Triple(
+                            Entity(f"world:W{i}"), LOCATED_IN, GERMANY,
+                            confidence=0.5,
+                        )
+                        store.add(triple)
+                        if i % 3 == 0:
+                            store.remove(triple)
+                        # A witness replacement keeps the size unchanged.
+                        store.add(
+                            Triple(Entity("world:S0"), LOCATED_IN, GERMANY,
+                                   confidence=0.5 + i / (2 * self.WRITES))
+                        )
+                        record(store)
+
+                    engine.mutate(mutate)
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+            finally:
+                done.set()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    bound, started_at = engine.store, engine.store.version
+                    payload = engine.lookup(predicate=LOCATED_IN)
+                    tag = (payload["kb_epoch"], payload["kb_version"])
+                    assert tag in states, tag
+                    assert payload["count"] == states[tag]
+                    if engine.store is bound:
+                        assert payload["kb_version"] >= started_at
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, name="lazy-writer")]
+            threads += [
+                threading.Thread(target=reader, name=f"lazy-reader-{i}")
+                for i in range(self.READERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert done.is_set()
 
 
 class TestNegativeCaching:
