@@ -22,16 +22,31 @@ make result caching sound across engine rebinds.
 Index buckets in :class:`InMemoryEngine` are insertion-ordered dicts used
 as ordered sets (value always None), NOT builtin sets: ``match`` results
 must iterate in an order that does not depend on the per-process
-``PYTHONHASHSEED``.  The index dicts are deliberately *plain* dicts
-maintained with explicit ``setdefault`` — never ``defaultdict`` — so a
-stray keyed read can only raise, not auto-vivify an empty bucket that
-would skew ``count()`` and bucket-size telemetry.
+``PYTHONHASHSEED``.  The index dicts are deliberately *plain* dicts —
+never ``defaultdict`` — so a stray keyed read can only raise, not
+auto-vivify an empty bucket that would skew ``count()`` and bucket-size
+telemetry.
+
+The engine always keeps its primary ``spo -> Triple`` map; the five
+secondary indexes are built together, in one pass over it, the first time
+a pattern query needs one (any :meth:`InMemoryEngine.plan` shape other
+than an exact ``spo`` probe or a full scan, and the predicate and
+telemetry reads).  Most stores a build fills are never queried by pattern
+and so never pay for them.  A lazily built bucket iterates in the same
+order as an eagerly maintained one would: both are the primary map's
+insertion order, with deleted keys removed and re-added keys appended.
+Index keys are terms, which hash once, at construction (see
+:mod:`repro.kb.terms`): the cached number equals the dataclass hash, so
+every dict behaves as it would without the cache, and a pickled term is
+rebuilt through its constructor rather than carrying a number salted for
+another process.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Protocol, runtime_checkable
 
+from ..obs import core as _obs
 from .terms import Resource, Term
 from .triple import Triple
 
@@ -89,26 +104,91 @@ class ReadableStore(Protocol):
     def __iter__(self) -> Iterator[Triple]: ...
 
 
+def _add_to_indexes(key: SpoKey, by_s, by_p, by_o, by_sp, by_po) -> None:
+    """File one key into the five secondary indexes (written out per
+    index: this is the inner loop of every index build and indexed insert,
+    and a ``setdefault`` would allocate a throwaway bucket per call)."""
+    s, p, o = key
+    bucket = by_s.get(s)
+    if bucket is None:
+        by_s[s] = {key: None}
+    else:
+        bucket[key] = None
+    bucket = by_p.get(p)
+    if bucket is None:
+        by_p[p] = {key: None}
+    else:
+        bucket[key] = None
+    bucket = by_o.get(o)
+    if bucket is None:
+        by_o[o] = {key: None}
+    else:
+        bucket[key] = None
+    bucket = by_sp.get((s, p))
+    if bucket is None:
+        by_sp[(s, p)] = {key: None}
+    else:
+        bucket[key] = None
+    bucket = by_po.get((p, o))
+    if bucket is None:
+        by_po[(p, o)] = {key: None}
+    else:
+        bucket[key] = None
+
+
 class InMemoryEngine:
     """Insertion-ordered dict indexes: the mutable in-memory engine.
 
     Keeps one primary ``spo -> Triple`` map plus five bucket indexes so
     every triple-pattern shape resolves to a dictionary lookup rather
-    than a scan.  Buckets are created on first insert (``setdefault``)
-    and deleted when their last key is removed, so the index never holds
-    an empty bucket — an invariant :meth:`index_stats` exposes and the
-    store tests pin.
+    than a scan.  The bucket indexes are built on the first pattern query
+    (see the module docstring) and maintained by every insert and delete
+    from then on.  Buckets are created with their first key and deleted
+    when their last key is removed, so the index never holds an empty
+    bucket — an invariant :meth:`index_stats` exposes and the store tests
+    pin.
     """
 
-    __slots__ = ("_by_spo", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po")
+    __slots__ = (
+        "_by_spo", "_indexed", "_by_s", "_by_p", "_by_o", "_by_sp", "_by_po"
+    )
 
     def __init__(self) -> None:
         self._by_spo: dict[SpoKey, Triple] = {}
+        self._indexed = False
         self._by_s: dict[Resource, dict[SpoKey, None]] = {}
         self._by_p: dict[Resource, dict[SpoKey, None]] = {}
         self._by_o: dict[Term, dict[SpoKey, None]] = {}
         self._by_sp: dict[tuple[Resource, Resource], dict[SpoKey, None]] = {}
         self._by_po: dict[tuple[Resource, Term], dict[SpoKey, None]] = {}
+
+    @property
+    def indexed(self) -> bool:
+        """True once the secondary indexes exist (see :meth:`build_indexes`)."""
+        return self._indexed
+
+    def build_indexes(self) -> None:
+        """Build the five secondary indexes in one pass, if not built yet.
+
+        The indexes are filled in locals and published before the flag is
+        set, so a reader that sees ``indexed`` never sees a partial index.
+        A store shared between threads must take this first build under
+        the lock its writers hold (``QueryEngine`` does so on bind).
+        """
+        if self._indexed:
+            return
+        by_s: dict = {}
+        by_p: dict = {}
+        by_o: dict = {}
+        by_sp: dict = {}
+        by_po: dict = {}
+        for key in self._by_spo:
+            _add_to_indexes(key, by_s, by_p, by_o, by_sp, by_po)
+        self._by_s, self._by_p, self._by_o = by_s, by_p, by_o
+        self._by_sp, self._by_po = by_sp, by_po
+        self._indexed = True
+        if _obs.ENABLED:
+            _obs.count("kb.store.index_builds")
 
     # ------------------------------------------------------------ primitives
 
@@ -117,14 +197,12 @@ class InMemoryEngine:
         return self._by_spo.get(key)
 
     def insert(self, key: SpoKey, triple: Triple) -> None:
-        """Index a triple under a key known to be absent."""
+        """Store a triple under a key known to be absent."""
         self._by_spo[key] = triple
-        s, p, o = key
-        self._by_s.setdefault(s, {})[key] = None
-        self._by_p.setdefault(p, {})[key] = None
-        self._by_o.setdefault(o, {})[key] = None
-        self._by_sp.setdefault((s, p), {})[key] = None
-        self._by_po.setdefault((p, o), {})[key] = None
+        if self._indexed:
+            _add_to_indexes(
+                key, self._by_s, self._by_p, self._by_o, self._by_sp, self._by_po
+            )
 
     def replace(self, key: SpoKey, triple: Triple) -> None:
         """Swap the witness for a key known to be present (buckets keep)."""
@@ -139,6 +217,8 @@ class InMemoryEngine:
         if key not in self._by_spo:
             return False
         del self._by_spo[key]
+        if not self._indexed:
+            return True
         s, p, o = key
         for index, index_key in (
             (self._by_s, s),
@@ -166,6 +246,10 @@ class InMemoryEngine:
         """
         if s is not None and p is not None and o is not None:
             return "spo", ([(s, p, o)] if (s, p, o) in self._by_spo else [])
+        if s is None and p is None and o is None:
+            return "scan", None
+        if not self._indexed:
+            self.build_indexes()
         if s is not None and p is not None:
             return "sp", self._by_sp.get((s, p), ())
         if p is not None and o is not None:
@@ -180,9 +264,7 @@ class InMemoryEngine:
             return "s", self._by_s.get(s, ())
         if p is not None:
             return "p", self._by_p.get(p, ())
-        if o is not None:
-            return "o", self._by_o.get(o, ())
-        return "scan", None
+        return "o", self._by_o.get(o, ())
 
     def triples(self) -> Iterator[Triple]:
         """All witnesses in insertion order."""
@@ -194,9 +276,11 @@ class InMemoryEngine:
 
     def predicates(self) -> set[Resource]:
         """The set of predicates with at least one triple."""
+        self.build_indexes()
         return set(self._by_p)
 
     def predicate_count(self) -> int:
+        self.build_indexes()
         return len(self._by_p)
 
     def __len__(self) -> int:
@@ -208,9 +292,10 @@ class InMemoryEngine:
         """Bucket accounting per index: total buckets, empty buckets, and
         the largest bucket — the numbers bucket-size telemetry reports.
 
-        ``empty`` must always be 0: buckets are created only on insert and
-        removed with their last key, and reads never create them.
+        ``empty`` must always be 0: buckets are created only with a key
+        and removed with their last key, and reads never create them.
         """
+        self.build_indexes()
         stats: dict[str, dict[str, int]] = {}
         for name, index in (
             ("s", self._by_s),

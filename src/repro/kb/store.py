@@ -7,6 +7,9 @@ the content-chain ``epoch`` identity, and observability.  The default
 engine is :class:`~repro.kb.engine.InMemoryEngine` — three single-position
 indexes (S, P, O) and two composite indexes (SP, PO) so every
 triple-pattern shape resolves to a dictionary lookup rather than a scan.
+Those five indexes are built on the store's first pattern query; a store
+that is only filled, probed by exact (s, p, o) key, scanned or
+serialized — most of the stores a build writes — never builds them.
 The on-disk counterpart, :class:`~repro.kb.segments.SegmentSnapshot`,
 shares the read contract (:class:`~repro.kb.engine.ReadableStore`) but is
 immutable.
@@ -331,11 +334,13 @@ class TripleStore:
         return self._engine.plan(s, p, o)
 
     def index_stats(self) -> dict[str, dict[str, int]]:
-        """Per-index bucket telemetry (buckets / empty / largest).
+        """Per-index bucket telemetry (buckets / empty / largest); builds
+        the indexes if no pattern query has yet.
 
         ``empty`` is pinned to 0 by the engine invariant: buckets are
-        created on insert only and dropped with their last key, and reads
-        never auto-vivify (the indexes are plain dicts, not defaultdicts).
+        created with their first key and dropped with their last, and
+        reads never auto-vivify (the indexes are plain dicts, not
+        defaultdicts).
         """
         return self._engine.index_stats()
 

@@ -9,12 +9,19 @@ This module defines the three kinds of term that can appear in such triples:
 * :class:`Literal` — a typed value (``"1955"^^xsd:integer``, ``"Paris"@fr``).
 
 Terms are immutable and hashable, so they can be used directly as dictionary
-keys in the triple-store indexes.
+keys in the triple-store indexes.  Each term computes its hash once, at
+construction, and keeps it in a slot that equality and ``repr`` ignore:
+store inserts and lookups hash their terms many times, and the dataclass
+hash would rebuild a tuple on every call.  The cached number is exactly the
+dataclass hash (``hash((id,))``, ``hash((value, datatype, lang))``), so set
+and dict iteration orders are the same as without the cache.  str hashes
+are salted per process, so a term is pickled (and copied) by rebuilding it
+through its constructor, never by shipping the cached number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 
@@ -28,10 +35,18 @@ class Entity:
     """
 
     id: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("Entity id must be a non-empty string")
+        object.__setattr__(self, "_hash", hash((self.id,)))  # det: allow-unordered -- cached in-process
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Entity, (self.id,))
 
     @property
     def local_name(self) -> str:
@@ -57,10 +72,18 @@ class Relation:
     """
 
     id: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("Relation id must be a non-empty string")
+        object.__setattr__(self, "_hash", hash((self.id,)))  # det: allow-unordered -- cached in-process
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Relation, (self.id,))
 
     @property
     def local_name(self) -> str:
@@ -87,6 +110,7 @@ class Literal:
     value: str
     datatype: str = "string"
     lang: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     _KNOWN_DATATYPES = frozenset({"string", "integer", "decimal", "date", "year"})
 
@@ -95,6 +119,17 @@ class Literal:
             raise ValueError(f"unknown literal datatype: {self.datatype!r}")
         if self.lang is not None and self.datatype != "string":
             raise ValueError("language tags are only valid on string literals")
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.value, self.datatype, self.lang)),  # det: allow-unordered -- cached in-process
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Literal, (self.value, self.datatype, self.lang))
 
     def to_python(self) -> Union[str, int, float]:
         """Convert the lexical value to its native Python representation."""

@@ -137,6 +137,21 @@ def canonical_triple_key(triple: Triple) -> tuple[str, str, str]:
 # ----------------------------------------------------------------- engine
 
 
+def _warm(store: ReadableStore) -> None:
+    """Run a store's lazy O(store) first computations; the caller holds the
+    engine lock.
+
+    A ``TripleStore`` computes its epoch on first read and builds its
+    pattern indexes on first query.  Taking both here, under the writers'
+    lock, means the unlocked epoch read in ``_serve`` never runs the first
+    computation while a writer mutates the store, and no request pays for
+    the index build.
+    """
+    store.epoch
+    if store.mutable:
+        store.engine.build_indexes()
+
+
 class QueryEngine:
     """A cached, lock-disciplined read/write front over one store."""
 
@@ -150,11 +165,7 @@ class QueryEngine:
         self._latency: dict[str, _obs.Histogram] = {}
         self._request_counts: dict[str, int] = {}
         with self._lock:
-            # A TripleStore computes its epoch on first read; take that read
-            # here, under the writers' lock, so the unlocked read in
-            # ``_serve`` never runs the O(store) first computation while a
-            # writer mutates the store.
-            store.epoch
+            _warm(store)
 
     @property
     def store(self) -> ReadableStore:
@@ -183,7 +194,7 @@ class QueryEngine:
         mutation history (e.g. a ``copy()``) starts warm.
         """
         with self._lock:
-            store.epoch  # first (lazy) epoch read under the lock: see __init__
+            _warm(store)
             self._store = store
 
     # ------------------------------------------------------------- writes

@@ -164,6 +164,43 @@ class TestMatch:
             assert store.count(**pattern) == len(list(store.match(**pattern)))
 
 
+class TestLazyIndexes:
+    """Secondary indexes are built on the first pattern query only."""
+
+    def test_point_reads_and_scans_do_not_build(self, store):
+        store.remove(Triple(A, LIKES, B))
+        assert store.contains_fact(A, KNOWS, B)
+        assert store.get(A, KNOWS, C) is not None
+        assert Triple(B, KNOWS, C) in store
+        assert len(list(store.match())) == len(store) == 3
+        assert len(list(store.match(A, KNOWS, B))) == 1
+        assert store.count() == 3
+        assert store.epoch
+        assert not store.engine.indexed
+
+    @pytest.mark.parametrize(
+        "first_read",
+        [
+            lambda s: s.count(subject=A),
+            lambda s: list(s.match(A, None, B)),
+            lambda s: s.predicates(),
+            lambda s: s.index_stats(),
+            repr,
+        ],
+    )
+    def test_first_pattern_read_builds_all_five(self, store, first_read):
+        first_read(store)
+        assert store.engine.indexed
+        stats = store.index_stats()
+        assert {name: stats[name]["buckets"] for name in stats} == {
+            "s": 2, "p": 2, "o": 2, "sp": 3, "po": 3,
+        }
+        store.add(Triple(C, LIKES, A))
+        store.remove(Triple(A, LIKES, B))
+        assert store.objects(C, LIKES) == [A]
+        assert store.subjects(LIKES, B) == []
+
+
 class TestConveniences:
     def test_objects_subjects(self, store):
         assert set(store.objects(A, KNOWS)) == {B, C}

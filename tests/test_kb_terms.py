@@ -1,7 +1,14 @@
 """Tests for repro.kb.terms."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.kb import (
     Entity,
     Literal,
@@ -81,3 +88,78 @@ class TestLiteral:
     def test_equality_includes_lang(self):
         assert string_literal("a", "en") != string_literal("a", "de")
         assert string_literal("a") == string_literal("a")
+
+
+_TERMS = [
+    Entity("world:Steve_Jobs"),
+    Relation("rel:bornIn"),
+    Literal("Paris", "string", "fr"),
+    year_literal(1955),
+]
+#: The same terms as constructor calls, for a child interpreter to build.
+_TERMS_SOURCE = "[" + ", ".join(map(repr, _TERMS)) + "]"
+
+
+def _python_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
+    """Run ``code`` in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin, env=env, capture_output=True, timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr.decode()
+    return completed.stdout
+
+
+class TestCachedHash:
+    """Terms hash once, at construction, to exactly the dataclass hash."""
+
+    def test_cached_hash_equals_the_dataclass_hash(self):
+        assert hash(Entity("a:x")) == hash(("a:x",))
+        assert hash(Relation("r:p")) == hash(("r:p",))
+        assert hash(Literal("v", "string", "en")) == hash(("v", "string", "en"))
+        assert hash(year_literal(1955)) == hash(("1955", "year", None))
+
+    def test_cache_is_invisible_to_equality_and_repr(self):
+        assert repr(Entity("a:x")) == "Entity('a:x')"
+        assert repr(Literal("v")) == "Literal('v', 'string', lang=None)"
+        assert Entity("a:x") != Relation("a:x")
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_copies_keep_equality_and_hash(self, duplicate):
+        for term in _TERMS:
+            twin = duplicate(term)
+            assert twin == term and hash(twin) == hash(term)
+            assert {term: 1}[twin] == 1
+
+    def test_pickle_under_another_hash_seed_rebuilds_the_hash(self):
+        # Pickled under one salt and loaded under another: a shipped cached
+        # number would hash the loaded term into the wrong dict/set slot.
+        pickled = _python_with_hash_seed(
+            1,
+            "import pickle, sys\n"
+            "from repro.kb import Entity, Literal, Relation\n"
+            f"sys.stdout.buffer.write(pickle.dumps({_TERMS_SOURCE}))\n",
+        )
+        verdict = _python_with_hash_seed(
+            2,
+            "import pickle, sys\n"
+            "from repro.kb import Entity, Literal, Relation\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = {_TERMS_SOURCE}\n"
+            "assert loaded == fresh\n"
+            "assert [hash(t) for t in loaded] == [hash(t) for t in fresh]\n"
+            "index = {t: i for i, t in enumerate(fresh)}\n"
+            "assert [index[t] for t in loaded] == list(range(len(fresh)))\n"
+            "assert set(loaded) == set(fresh)\n"
+            "assert all(t in set(fresh) for t in loaded)\n"
+            "print('ok')\n",
+            stdin=pickled,
+        )
+        assert verdict.strip() == b"ok"
+        # And in this process, under yet another salt.
+        loaded = pickle.loads(pickled)
+        assert loaded == _TERMS
+        assert [hash(t) for t in loaded] == [hash(t) for t in _TERMS]
+        assert set(loaded) == set(_TERMS)

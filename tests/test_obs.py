@@ -283,6 +283,34 @@ class TestInstrumentedComponents:
         histogram = obs.report_json()["histograms"]["kb.store.match.scanned"]
         assert histogram["count"] == 4
 
+    def test_store_index_builds_are_counted_once_per_store(self):
+        obs.enable()
+        store = TripleStore([Triple(Entity("e:a"), Relation("r:p"), Entity("e:b"))])
+        store.contains_fact(Entity("e:a"), Relation("r:p"), Entity("e:b"))
+        list(store.match())
+        assert "kb.store.index_builds" not in obs.report_json()["counters"]
+        store.count(subject=Entity("e:a"))
+        store.count(predicate=Relation("r:p"))
+        assert obs.report_json()["counters"]["kb.store.index_builds"] == 1
+
+    def test_traced_builds_report_the_same_index_builds(self):
+        from repro.corpus import build_wiki
+        from repro.pipeline import KnowledgeBaseBuilder
+        from repro.world import WorldConfig, generate_world
+
+        world = generate_world(WorldConfig(seed=7, n_people=25))
+        wiki = build_wiki(world)
+        builds = []
+        for __ in range(2):
+            obs.enable()
+            obs.reset()
+            kb, __ = KnowledgeBaseBuilder(wiki, aliases=world.aliases).build()
+            builds.append(obs.report_json()["counters"]["kb.store.index_builds"])
+            obs.disable()
+            # No build stage queries the finished KB by pattern.
+            assert kb.engine.indexed is False
+        assert builds[0] == builds[1] >= 1
+
     def test_mapreduce_publishes_into_registry(self):
         from repro.bigdata import word_count
 

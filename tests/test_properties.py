@@ -203,20 +203,31 @@ _operations = st.lists(
 )
 
 
+#: An operation sequence plus the point at which the store is first
+#: queried by pattern (0 = before any operation, len = after the last).
+_operations_and_first_query = _operations.flatmap(
+    lambda operations: st.tuples(
+        st.just(operations), st.integers(0, len(operations))
+    )
+)
+_INDEX_NAMES = ("_by_s", "_by_p", "_by_o", "_by_sp", "_by_po")
+
+
 class TestTripleStoreInvariants:
-    """After any add/remove sequence, every index agrees with ``_by_spo``."""
+    """After any add/remove sequence, every index agrees with ``_by_spo``,
+    wherever in the sequence the lazily built indexes came into being."""
+
+    @staticmethod
+    def _first_query(store: TripleStore) -> None:
+        """A pattern query: the first one builds the secondary indexes."""
+        store.count(None, Relation("r:0"), None)
+        assert store.engine.indexed
 
     @staticmethod
     def _assert_indexes_consistent(store: TripleStore) -> None:
         engine = store.engine
         keys = set(engine.keys())
-        index_views = {
-            "_by_s": engine._by_s,
-            "_by_p": engine._by_p,
-            "_by_o": engine._by_o,
-            "_by_sp": engine._by_sp,
-            "_by_po": engine._by_po,
-        }
+        index_views = {name: getattr(engine, name) for name in _INDEX_NAMES}
         # 1. Every index entry points at a live key; no empty buckets linger.
         for name, index in index_views.items():
             for bucket_key, bucket in index.items():
@@ -235,22 +246,42 @@ class TestTripleStoreInvariants:
             total = sum(len(bucket) for bucket in index.values())
             assert total == len(keys), f"{name} cardinality mismatch"
 
-    @settings(max_examples=80, deadline=None)
-    @given(_operations)
-    def test_indexes_agree_after_any_operation_sequence(self, operations):
+    @settings(max_examples=120, deadline=None)
+    @given(_operations_and_first_query)
+    def test_indexes_agree_after_any_operation_sequence(self, drawn):
+        operations, first_query_at = drawn
         store = TripleStore()
+        # The reference keeps its indexes from before its first add.
+        eager = TripleStore()
+        self._first_query(eager)
         oracle: dict[tuple, Triple] = {}
-        for action, triple in operations:
+        for position, (action, triple) in enumerate(operations):
+            if position == first_query_at:
+                self._first_query(store)
+            for target in (store, eager):
+                if action == "add":
+                    target.add(triple)
+                else:
+                    target.remove(triple)
             if action == "add":
-                store.add(triple)
                 existing = oracle.get(triple.spo())
                 if existing is None or triple.confidence > existing.confidence:
                     oracle[triple.spo()] = triple
             else:
-                store.remove(triple)
                 oracle.pop(triple.spo(), None)
+        assert store.engine.indexed == (first_query_at < len(operations))
+        if first_query_at == len(operations):
+            self._first_query(store)
         self._assert_indexes_consistent(store)
         assert set(store.engine.keys()) == set(oracle)
+        # 4. Every bucket iterates in the order the eagerly indexed store's
+        #    does (bucket order feeds match() results and so KB output).
+        for name in _INDEX_NAMES:
+            lazy = {k: list(b) for k, b in getattr(store.engine, name).items()}
+            reference = {
+                k: list(b) for k, b in getattr(eager.engine, name).items()
+            }
+            assert lazy == reference, f"{name} bucket order differs"
 
     @settings(max_examples=80, deadline=None)
     @given(_operations)

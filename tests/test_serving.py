@@ -505,6 +505,122 @@ class TestLazyEpochUnderWriters:
         assert done.is_set()
 
 
+class TestIndexWarmupUnderWriters:
+    """A ``TripleStore`` builds its pattern indexes on first query.  An
+    engine bound (or rebound) to a store nobody has queried yet builds them
+    under its lock before publishing the store; with a writer mutating
+    through the engine and readers racing it, every answer must equal the
+    answer of a store that was indexed from its first add."""
+
+    READERS = 4
+    WRITES = 240
+    REBIND_EVERY = 40
+
+    @staticmethod
+    def triples(size: int) -> list[Triple]:
+        return [
+            Triple(Entity(f"world:S{i}"), LOCATED_IN, Entity(f"world:C{i % 7}"),
+                   confidence=0.5)
+            for i in range(size)
+        ]
+
+    @staticmethod
+    def requests(engine: QueryEngine) -> list[dict]:
+        """Answers that expose bucket order (``Query.run`` order) as well
+        as content, across the p, o and po index shapes."""
+        return [
+            engine.lookup(predicate=LOCATED_IN),
+            engine.lookup(obj=Entity("world:C3")),
+            engine.query([Pattern(Var("x"), LOCATED_IN, Entity("world:C1"))]),
+            engine.query(
+                [Pattern(Var("x"), LOCATED_IN, Var("c"))], limit=25
+            ),
+        ]
+
+    def test_answers_equal_an_eagerly_indexed_store(self):
+        # (epoch, version) -> the reference answers for that state, recorded
+        # under the engine lock right after every mutation.
+        states: dict[tuple[str, int], list[dict]] = {}
+        errors: list[BaseException] = []
+        done = threading.Event()
+        reference: dict[str, TripleStore] = {}
+
+        def publish(size: int) -> TripleStore:
+            """A never-queried store, and its reference indexed from its
+            first add, holding the same triples in the same order."""
+            eager = TripleStore()
+            eager.engine.build_indexes()
+            eager.add_all(self.triples(size))
+            reference["store"] = eager
+            record(eager)
+            return TripleStore(self.triples(size))
+
+        def record(eager: TripleStore) -> None:
+            answers = self.requests(QueryEngine(eager, cache_size=8))
+            states[(eager.epoch, eager.version)] = answers
+
+        engine = QueryEngine(publish(300), cache_size=64)
+        assert engine.store.engine.indexed
+
+        def writer():
+            try:
+                for i in range(self.WRITES):
+                    if i % self.REBIND_EVERY == 0:
+                        replacement = publish(300 + i)
+                        assert not replacement.engine.indexed
+                        engine.rebind(replacement)
+
+                    def mutate(store, i=i):
+                        triple = Triple(
+                            Entity(f"world:S{i % 50}"), LOCATED_IN,
+                            Entity(f"world:C{i % 7}"), confidence=0.5,
+                        )
+                        for target in (store, reference["store"]):
+                            # Remove and re-add: the key moves to the end of
+                            # its buckets, so bucket order is exercised.
+                            target.remove(triple)
+                            target.add(triple)
+                            if i % 3 == 0:
+                                target.remove(triple)
+                        record(reference["store"])
+
+                    engine.mutate(mutate)
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+            finally:
+                done.set()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    bound = engine.store
+                    assert bound.engine.indexed  # warmed before publishing
+                    for position, answer in enumerate(self.requests(engine)):
+                        tag = (answer["kb_epoch"], answer["kb_version"])
+                        assert tag in states, tag
+                        assert answer == states[tag][position]
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, name="warm-writer")]
+            threads += [
+                threading.Thread(target=reader, name=f"warm-reader-{i}")
+                for i in range(self.READERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert done.is_set()
+
+
 class TestNegativeCaching:
     def test_empty_answer_is_cached_and_counted(self, engine):
         nobody = Entity("world:Nobody")
